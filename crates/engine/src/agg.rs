@@ -1,10 +1,11 @@
 //! Aggregate implementations: update (raw events), combine (sub-aggregates),
 //! finalize (result values).
 //!
-//! The pipeline is monomorphized over one of these types so the hot loops
-//! compile to straight-line code per aggregate function — matching how a
-//! production engine (Trill, Flink) generates or specializes aggregation
-//! code per query.
+//! The pipeline core's fold, combine, and finalize kernels are
+//! monomorphized over one of these types per aggregate term, so the hot
+//! loops compile to straight-line code per aggregate function — matching
+//! how a production engine (Trill, Flink) generates or specializes
+//! aggregation code per query.
 
 use fw_core::AggregateFunction;
 
@@ -48,6 +49,22 @@ pub trait Aggregate: 'static {
 
     /// Folds a sub-aggregate in.
     fn combine(acc: &mut Self::Acc, other: &Self::Acc);
+
+    /// Re-initializes a recycled accumulator (pane slots are reused from
+    /// instance to instance). The default assigns [`Self::init`].
+    #[inline]
+    fn reset(acc: &mut Self::Acc) {
+        *acc = Self::init();
+    }
+
+    /// Merges two partial accumulators of the *same* window instance —
+    /// state carried across a live plan swap — into one. `combine` for
+    /// combinable functions; unlike sub-aggregate composition, this is
+    /// sound for holistic functions too.
+    #[inline]
+    fn merge(acc: &mut Self::Acc, other: &Self::Acc) {
+        Self::combine(acc, other);
+    }
 
     /// Produces the result value.
     fn finalize(acc: &Self::Acc) -> f64;
@@ -341,6 +358,18 @@ impl Aggregate for MedianAgg {
 
     fn combine(_acc: &mut Vec<f64>, _other: &Vec<f64>) {
         unreachable!("holistic sub-aggregation is rejected at plan compile time");
+    }
+
+    // The multiset clears in place so its capacity survives recycling.
+    #[inline]
+    fn reset(acc: &mut Vec<f64>) {
+        acc.clear();
+    }
+
+    // Two halves of one instance's multiset concatenate.
+    #[inline]
+    fn merge(acc: &mut Vec<f64>, other: &Vec<f64>) {
+        acc.extend_from_slice(other);
     }
 
     fn finalize(acc: &Vec<f64>) -> f64 {

@@ -110,7 +110,8 @@ pub enum CheckpointError {
         /// What was being validated.
         what: &'static str,
     },
-    /// The pipeline cannot produce (or accept) a checkpoint.
+    /// The checkpoint request does not fit the running state (e.g. a
+    /// group plan whose strategy differs from the running group's).
     Unsupported {
         /// Why.
         reason: &'static str,

@@ -22,11 +22,6 @@ pub enum EngineError {
         keys: usize,
         values: usize,
     },
-    /// The pipeline cannot be rebuilt in place (e.g. it was compiled on a
-    /// monomorphized single-aggregate core, or a group's execution
-    /// strategy would have to change mid-stream). Only pipelines compiled
-    /// through the grouped/slot path support live plan swaps.
-    RebuildUnsupported { reason: &'static str },
     /// A distributed backend lost a worker: transport failure, a worker
     /// process dying mid-stream, or a protocol violation on the shard
     /// link. The backend is poisoned — results already gathered remain
@@ -56,9 +51,6 @@ impl fmt::Display for EngineError {
                     f,
                     "column length mismatch: {times} timestamps, {keys} keys, {values} values"
                 )
-            }
-            EngineError::RebuildUnsupported { reason } => {
-                write!(f, "pipeline cannot be rebuilt in place: {reason}")
             }
             EngineError::Distributed(msg) => write!(f, "distributed backend failed: {msg}"),
         }

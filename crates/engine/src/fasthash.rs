@@ -94,8 +94,7 @@ impl Hasher for FastU32Hasher {
 /// `BuildHasher` for [`FastU32Hasher`].
 pub type FastU32BuildHasher = BuildHasherDefault<FastU32Hasher>;
 
-/// A `HashMap` keyed by `u32` using the specialized hasher — the pane map
-/// type of the hot path (see [`crate::pane::Pane`]).
+/// A `HashMap` keyed by `u32` using the specialized hasher.
 pub type FastU32Map<V> = std::collections::HashMap<u32, V, FastU32BuildHasher>;
 
 #[cfg(test)]

@@ -5,10 +5,8 @@
 //! runs the plan a [`fw_core::GroupPlan`] resolved to:
 //!
 //! * **Shared strategy** — one merged plan over the union of every
-//!   member's windows, compiled onto the slot-based group core (through
-//!   [`PlanPipeline::compile_grouped`] or
-//!   [`ShardedPipeline::compile_grouped`], so both backends support live
-//!   plan swaps). Every emitted [`WindowResult`] is looked up in the
+//!   member's windows, compiled onto either in-process backend (both
+//!   support live plan swaps). Every emitted [`WindowResult`] is looked up in the
 //!   routing table: `(window, merged slot)` fans out to each member that
 //!   subscribed to that value, tagged with the member's id and its
 //!   query-local SELECT index.
@@ -79,15 +77,9 @@ pub trait ExecBackend: Send + std::fmt::Debug {
 /// for the group's lifetime — per-query rebuilds compile arriving
 /// members' pipelines through it.
 pub trait BackendFactory: Send + Sync {
-    /// Compiles a fresh backend for `plan`. `grouped` requests the
-    /// slot-based group core (live plan swaps and checkpoints; see
-    /// [`PlanPipeline::compile_grouped`]).
-    fn compile(
-        &self,
-        plan: &QueryPlan,
-        opts: PipelineOptions,
-        grouped: bool,
-    ) -> Result<Box<dyn ExecBackend>>;
+    /// Compiles a fresh backend for `plan` (live plan swaps and
+    /// checkpoints included, like [`PlanPipeline::compile`]).
+    fn compile(&self, plan: &QueryPlan, opts: PipelineOptions) -> Result<Box<dyn ExecBackend>>;
 
     /// Restores a backend from a full `KIND_PIPELINE` snapshot document
     /// (as produced by [`ExecBackend::export_snapshot`] or
@@ -228,17 +220,14 @@ impl AnyPipeline {
         plan: &fw_core::QueryPlan,
         opts: PipelineOptions,
         shards: usize,
-        grouped: bool,
         factory: Option<&Arc<dyn BackendFactory>>,
     ) -> Result<Self> {
         if let Some(factory) = factory {
-            return Ok(AnyPipeline::Remote(factory.compile(plan, opts, grouped)?));
+            return Ok(AnyPipeline::Remote(factory.compile(plan, opts)?));
         }
-        Ok(match (shards, grouped) {
-            (0, true) => AnyPipeline::Single(Box::new(PlanPipeline::compile_grouped(plan, opts)?)),
-            (0, false) => AnyPipeline::Single(Box::new(PlanPipeline::compile(plan, opts)?)),
-            (n, true) => AnyPipeline::Sharded(ShardedPipeline::compile_grouped(plan, opts, n)?),
-            (n, false) => AnyPipeline::Sharded(ShardedPipeline::compile(plan, opts, n)?),
+        Ok(match shards {
+            0 => AnyPipeline::Single(Box::new(PlanPipeline::compile(plan, opts)?)),
+            n => AnyPipeline::Sharded(ShardedPipeline::compile(plan, opts, n)?),
         })
     }
 
@@ -421,10 +410,6 @@ pub struct GroupExec {
     horizon: u64,
     opts: PipelineOptions,
     shards: usize,
-    /// Whether per-query member pipelines compile on the slot-based group
-    /// core so they can be checkpointed ([`Self::compile_durable`]). The
-    /// shared backend always can.
-    durable: bool,
     /// Injected backend constructor ([`Self::compile_with_backend`]);
     /// kept so per-query rebuilds compile arriving members on the same
     /// backend the group started on. `None` runs in process.
@@ -446,16 +431,7 @@ impl GroupExec {
     /// backend; `shards ≥ 1` the key-partitioned one. The shared strategy
     /// requires the plan to carry a merged [`fw_core::SharedPlan`].
     pub fn compile(plan: &GroupPlan, opts: PipelineOptions, shards: usize) -> Result<Self> {
-        Self::compile_with(plan, opts, shards, false, None)
-    }
-
-    /// Compiles a group plan whose state can be checkpointed. Identical to
-    /// [`Self::compile`] except that per-query member pipelines also go
-    /// through the slot-based group core — the only backend that can
-    /// export its pane state (see [`Self::checkpoint`]). Shared-strategy
-    /// groups are always durable.
-    pub fn compile_durable(plan: &GroupPlan, opts: PipelineOptions, shards: usize) -> Result<Self> {
-        Self::compile_with(plan, opts, shards, true, None)
+        Self::compile_with(plan, opts, shards, None)
     }
 
     /// Compiles a group plan onto an injected [`BackendFactory`]: every
@@ -465,21 +441,19 @@ impl GroupExec {
     /// in-process engine. This is how the group's route table becomes the
     /// multi-tenant unit of distribution: routing, registration
     /// boundaries, and `since` filters stay coordinator-side while the
-    /// pane flow itself runs wherever the factory puts it. Always
-    /// durable (a factory backend must be able to export its snapshot).
+    /// pane flow itself runs wherever the factory puts it.
     pub fn compile_with_backend(
         plan: &GroupPlan,
         opts: PipelineOptions,
         factory: Arc<dyn BackendFactory>,
     ) -> Result<Self> {
-        Self::compile_with(plan, opts, 0, true, Some(factory))
+        Self::compile_with(plan, opts, 0, Some(factory))
     }
 
     fn compile_with(
         plan: &GroupPlan,
         opts: PipelineOptions,
         shards: usize,
-        durable: bool,
         factory: Option<Arc<dyn BackendFactory>>,
     ) -> Result<Self> {
         let (backend, routes) = match plan.strategy {
@@ -487,13 +461,8 @@ impl GroupExec {
                 let shared = plan.shared.as_ref().ok_or_else(|| {
                     EngineError::InvalidPlan("shared strategy without a merged plan".to_string())
                 })?;
-                let pipeline = AnyPipeline::compile(
-                    &shared.bundle.plan,
-                    opts,
-                    shards,
-                    true,
-                    factory.as_ref(),
-                )?;
+                let pipeline =
+                    AnyPipeline::compile(&shared.bundle.plan, opts, shards, factory.as_ref())?;
                 (Backend::Shared(pipeline), RouteIndex::new(&shared.routes))
             }
             GroupStrategy::PerQuery => {
@@ -506,7 +475,6 @@ impl GroupExec {
                             &member.bundle.plan,
                             opts,
                             shards,
-                            durable,
                             factory.as_ref(),
                         )?,
                     });
@@ -524,7 +492,6 @@ impl GroupExec {
             horizon: 0,
             opts,
             shards,
-            durable,
             factory,
         })
     }
@@ -725,13 +692,12 @@ impl GroupExec {
     ///
     /// The strategy itself is fixed for the life of the group (the façade
     /// re-plans with the resolved strategy pinned); a plan that resolved
-    /// to the other strategy is rejected with
-    /// [`EngineError::RebuildUnsupported`].
+    /// to the other strategy is rejected with [`EngineError::InvalidPlan`].
     pub fn rebuild(&mut self, plan: &GroupPlan, watermark: u64) -> Result<()> {
         if plan.strategy != self.strategy() {
-            return Err(EngineError::RebuildUnsupported {
-                reason: "a group's execution strategy is fixed once it starts streaming",
-            });
+            return Err(EngineError::InvalidPlan(
+                "a group's execution strategy is fixed once it starts streaming".to_string(),
+            ));
         }
         match &mut self.backend {
             Backend::Shared(pipeline) => {
@@ -764,7 +730,6 @@ impl GroupExec {
                             &member.bundle.plan,
                             self.opts,
                             self.shards,
-                            self.durable,
                             self.factory.as_ref(),
                         )?,
                     });
@@ -800,11 +765,8 @@ impl GroupExec {
     /// results not yet polled, the group-level counters, and every
     /// backend pipeline's pane state — and keeps streaming. `plan` must be
     /// the [`GroupPlan`] the group is currently executing (slot indices
-    /// and member plans are read from it; they are never serialized).
-    ///
-    /// Per-query groups must have been compiled with
-    /// [`Self::compile_durable`]; otherwise the member pipelines cannot
-    /// export their state and this fails with
+    /// and member plans are read from it; they are never serialized). A
+    /// plan of the other strategy fails with
     /// [`CheckpointError::Unsupported`].
     pub fn checkpoint<W: std::io::Write + ?Sized>(
         &mut self,
@@ -869,9 +831,6 @@ impl GroupExec {
     /// under; the snapshot itself carries no shard count, so `shards` may
     /// differ freely from the checkpointing run — pane state is re-hashed
     /// onto the new layout and results are byte-identical for any rescale.
-    ///
-    /// The restored group is durable regardless of how the original was
-    /// compiled (restoring proves every pipeline state is exportable).
     pub fn restore<R: std::io::Read + ?Sized>(
         plan: &GroupPlan,
         opts: PipelineOptions,
@@ -980,7 +939,6 @@ impl GroupExec {
             horizon,
             opts,
             shards,
-            durable: true,
             factory,
         })
     }
@@ -1187,7 +1145,7 @@ mod tests {
             .unwrap();
         let mut exec = GroupExec::compile(&shared, PipelineOptions::collecting(), 0).unwrap();
         let err = exec.rebuild(&unshared, 0).unwrap_err();
-        assert!(matches!(err, EngineError::RebuildUnsupported { .. }));
+        assert!(matches!(err, EngineError::InvalidPlan(_)));
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! Multi-aggregate execution: one shared pane flow, many accumulators.
+//! The pipeline core: one shared pane flow, one accumulator column per
+//! aggregate term.
 //!
-//! A query like `SELECT MIN(T), MAX(T), AVG(T) … Windows(…)` compiles to
-//! *one* pipeline whose pane bookkeeping (instance tracking, sealing,
-//! hashing, sub-aggregate routing) runs once per element, exactly as in
-//! the single-aggregate engine; each pane entry simply carries one
-//! accumulator *slot per aggregate term*, dispatched over the existing
-//! [`Aggregate`] implementations through a small enum. This is the
-//! execution-side counterpart of the paper's premise — amortize shared
-//! work across correlated aggregates — applied along the function axis in
-//! addition to the window axis.
+//! Every plan — single- or multi-aggregate — compiles to one
+//! `MultiCore` whose pane bookkeeping (instance tracking, sealing, key
+//! interning, sub-aggregate routing) runs once per element; each pane
+//! carries one accumulator *column per aggregate term*. A single-term
+//! query is the degenerate case of that shared pane. The hot loops are
+//! term-outer kernels monomorphized per [`Aggregate`] — dispatched once
+//! per batch for one-term queries and once per run and term otherwise,
+//! never per key — and one-term panes fuse occupancy into the fold and
+//! combine passes. This is the execution-side counterpart of the paper's
+//! premise — amortize shared work across correlated aggregates — applied
+//! along the function axis in addition to the window axis. The same core
+//! exports and re-adopts its pane state, so every pipeline can
+//! checkpoint, restore, and swap plans live.
 //!
 //! Per-function combinability is honored within one plan: distributive and
 //! algebraic terms (MIN/MAX/SUM/COUNT/AVG) ride the plan's sub-aggregate
@@ -28,6 +33,7 @@ use crate::event::{ResultSink, WindowResult};
 use crate::executor::ExecStats;
 use crate::pane::{element_work, PaneDeque};
 use crate::profile::{NodeProfile, ProfileLevel};
+use crate::slab::Occupancy;
 use fw_core::{AggregateClass, AggregateFunction, Interval, QueryPlan, Window};
 use std::time::Instant;
 
@@ -62,9 +68,9 @@ pub(crate) struct GroupState {
     pub(crate) windows: Vec<(Window, Vec<(u64, KeyedPane)>)>,
 }
 
-/// One accumulator slot, dispatching to the existing [`Aggregate`] impls.
-/// Crate-visible so the checkpoint codec can serialize pane state
-/// shape-checked against each slot's aggregate function.
+/// One accumulator slot in interchange (row) format: the representation
+/// state migration and the checkpoint codec speak, shape-checked against
+/// each slot's aggregate function.
 #[derive(Debug, Clone)]
 pub(crate) enum Slot {
     /// MIN / MAX / SUM state.
@@ -85,32 +91,6 @@ fn init_slot(f: AggregateFunction) -> Slot {
         AggregateFunction::Count => Slot::U64(CountAgg::init()),
         AggregateFunction::Avg => Slot::SumCount(AvgAgg::init()),
         AggregateFunction::Median => Slot::Values(MedianAgg::init()),
-    }
-}
-
-fn combine_slot(f: AggregateFunction, into: &mut Slot, from: &Slot) {
-    match (f, into, from) {
-        (AggregateFunction::Min, Slot::F64(a), Slot::F64(b)) => MinAgg::combine(a, b),
-        (AggregateFunction::Max, Slot::F64(a), Slot::F64(b)) => MaxAgg::combine(a, b),
-        (AggregateFunction::Sum, Slot::F64(a), Slot::F64(b)) => SumAgg::combine(a, b),
-        (AggregateFunction::Count, Slot::U64(a), Slot::U64(b)) => CountAgg::combine(a, b),
-        (AggregateFunction::Avg, Slot::SumCount(a), Slot::SumCount(b)) => AvgAgg::combine(a, b),
-        (AggregateFunction::Median, ..) => {
-            unreachable!("holistic slots are raw-fed, never combined")
-        }
-        _ => unreachable!("slot shape is fixed at init"),
-    }
-}
-
-/// Folds a carried-over (pre-plan-swap) accumulator into a live one at
-/// emission time. Identical to [`combine_slot`] for combinable functions;
-/// holistic state merges by concatenation — this is an emission-side
-/// merge of two halves of the *same* instance, not sub-aggregate
-/// composition, so it is sound for every function class.
-fn merge_slot(f: AggregateFunction, into: &mut Slot, from: &Slot) {
-    match (f, into, from) {
-        (AggregateFunction::Median, Slot::Values(a), Slot::Values(b)) => a.extend_from_slice(b),
-        (f, into, from) => combine_slot(f, into, from),
     }
 }
 
@@ -139,45 +119,244 @@ enum SlotCol {
     Values(Vec<Vec<f64>>),
 }
 
+/// Runs `$body` with the type alias `$a` bound to the [`Aggregate`]
+/// implementing the function `$f`: the one dispatch point that selects a
+/// monomorphized kernel. Hot paths pay it once per batch, run, or pane —
+/// never per key.
+macro_rules! with_agg {
+    ($f:expr, $a:ident => $body:expr) => {
+        match $f {
+            AggregateFunction::Min => {
+                type $a = MinAgg;
+                $body
+            }
+            AggregateFunction::Max => {
+                type $a = MaxAgg;
+                $body
+            }
+            AggregateFunction::Sum => {
+                type $a = SumAgg;
+                $body
+            }
+            AggregateFunction::Count => {
+                type $a = CountAgg;
+                $body
+            }
+            AggregateFunction::Avg => {
+                type $a = AvgAgg;
+                $body
+            }
+            AggregateFunction::Median => {
+                type $a = MedianAgg;
+                $body
+            }
+        }
+    };
+}
+
+/// Ties an [`Aggregate`] to the [`SlotCol`] variant holding its state, so
+/// the kernels below compile to straight-line code per function.
+trait ColAgg: Aggregate {
+    fn col(col: &SlotCol) -> &[Self::Acc];
+    fn col_mut(col: &mut SlotCol) -> &mut Vec<Self::Acc>;
+}
+
+macro_rules! col_agg {
+    ($($agg:ty => $variant:ident),*) => {$(
+        impl ColAgg for $agg {
+            #[inline]
+            fn col(col: &SlotCol) -> &[Self::Acc] {
+                match col {
+                    SlotCol::$variant(v) => v,
+                    _ => unreachable!("column shape is fixed at construction"),
+                }
+            }
+            #[inline]
+            fn col_mut(col: &mut SlotCol) -> &mut Vec<Self::Acc> {
+                match col {
+                    SlotCol::$variant(v) => v,
+                    _ => unreachable!("column shape is fixed at construction"),
+                }
+            }
+        }
+    )*};
+}
+
+col_agg!(MinAgg => F64, MaxAgg => F64, SumAgg => F64, CountAgg => U64, AvgAgg => SumCount, MedianAgg => Values);
+
+/// End of the key sub-run starting at `slots[k]` (consecutive equal
+/// slots share one accumulator resolve).
+#[inline]
+fn sub_run_end(slots: &[u32], k: usize) -> usize {
+    let slot = slots[k];
+    let mut end = k + 1;
+    while end < slots.len() && slots[end] == slot {
+        end += 1;
+    }
+    end
+}
+
+/// Fused one-term fold: occupies each key sub-run's slot (re-initializing
+/// it on first touch) and folds the sub-run through the aggregate's
+/// columnar kernel.
+#[inline]
+fn touch_fold_runs<A: ColAgg>(
+    occ: &mut Occupancy,
+    col: &mut SlotCol,
+    slots: &[u32],
+    values: &[f64],
+) {
+    let col = A::col_mut(col);
+    if let ([slot], [value]) = (slots, values) {
+        // The per-event path's one-element run.
+        let acc = &mut col[*slot as usize];
+        if occ.occupy(*slot) {
+            A::reset(acc);
+        }
+        A::update(acc, *value);
+        return;
+    }
+    let mut k = 0;
+    while k < slots.len() {
+        let end = sub_run_end(slots, k);
+        let slot = slots[k];
+        let acc = &mut col[slot as usize];
+        if occ.occupy(slot) {
+            A::reset(acc);
+        }
+        A::fold_run(acc, &values[k..end]);
+        k = end;
+    }
+}
+
+/// Occupies every key sub-run's slot (the multi-term occupancy pass; the
+/// columns then re-initialize the fresh slots term by term).
+#[inline]
+fn occupy_runs(occ: &mut Occupancy, slots: &[u32]) {
+    let mut k = 0;
+    while k < slots.len() {
+        let end = sub_run_end(slots, k);
+        occ.occupy(slots[k]);
+        k = end;
+    }
+}
+
+/// Folds each key sub-run into its (already occupied) slot of one column.
+#[inline]
+fn fold_runs<A: ColAgg>(col: &mut SlotCol, slots: &[u32], values: &[f64]) {
+    let col = A::col_mut(col);
+    let mut k = 0;
+    while k < slots.len() {
+        let end = sub_run_end(slots, k);
+        A::fold_run(&mut col[slots[k] as usize], &values[k..end]);
+        k = end;
+    }
+}
+
+/// Re-initializes the freshly occupied `slots` of one column.
+#[inline]
+fn reset_slots<A: ColAgg>(col: &mut SlotCol, slots: &[u32]) {
+    let col = A::col_mut(col);
+    for &slot in slots {
+        A::reset(&mut col[slot as usize]);
+    }
+}
+
+/// Fused one-term combine: occupies each of the source's live `slots`
+/// (re-initializing on first touch) and combines the source accumulator
+/// in. Parent and child columns are slot-aligned through the core's one
+/// interner, so the merge is a linear walk.
+#[inline]
+fn touch_combine_all<A: ColAgg>(
+    occ: &mut Occupancy,
+    col: &mut SlotCol,
+    src: &SlotCol,
+    slots: &[u32],
+) {
+    let (col, src) = (A::col_mut(col), A::col(src));
+    for &slot in slots {
+        let i = slot as usize;
+        let acc = &mut col[i];
+        if occ.occupy(slot) {
+            A::reset(acc);
+        }
+        A::combine(acc, &src[i]);
+    }
+}
+
+/// Applies `op` (`combine`, or `merge` for carried halves) from the
+/// source's live `slots` into their (already occupied) slots of one
+/// column.
+#[inline]
+fn combine_all<A: ColAgg>(
+    col: &mut SlotCol,
+    src: &SlotCol,
+    slots: &[u32],
+    op: impl Fn(&mut A::Acc, &A::Acc),
+) {
+    let (col, src) = (A::col_mut(col), A::col(src));
+    for &slot in slots {
+        let i = slot as usize;
+        op(&mut col[i], &src[i]);
+    }
+}
+
+/// Writes one term's finalized value into every `stride`-th result row,
+/// live slots in first-touch order (the rows were pushed key-major, one
+/// per (slot, term)).
+#[inline]
+fn finalize_into<A: ColAgg>(
+    col: &SlotCol,
+    slots: &[u32],
+    rows: &mut [WindowResult],
+    stride: usize,
+) {
+    let col = A::col(col);
+    for (row, &slot) in rows.iter_mut().step_by(stride).zip(slots) {
+        row.value = A::finalize(&col[slot as usize]);
+    }
+}
+
+/// One-term emission: one finalized result row per live slot.
+#[inline]
+fn push_finalized<A: ColAgg>(
+    col: &SlotCol,
+    slots: &[u32],
+    slot_keys: &[u32],
+    rows: &mut Vec<WindowResult>,
+    window: Window,
+    interval: Interval,
+) {
+    let col = A::col(col);
+    rows.extend(slots.iter().map(|&slot| WindowResult {
+        window,
+        interval,
+        key: slot_keys[slot as usize],
+        agg: 0,
+        value: A::finalize(&col[slot as usize]),
+    }));
+}
+
 impl SlotCol {
     fn new(f: AggregateFunction) -> Self {
-        match f.class() {
-            AggregateClass::Holistic => SlotCol::Values(Vec::new()),
-            _ => match init_slot(f) {
-                Slot::F64(_) => SlotCol::F64(Vec::new()),
-                Slot::U64(_) => SlotCol::U64(Vec::new()),
-                Slot::SumCount(_) => SlotCol::SumCount(Vec::new()),
-                Slot::Values(_) => SlotCol::Values(Vec::new()),
-            },
+        match f {
+            AggregateFunction::Min | AggregateFunction::Max | AggregateFunction::Sum => {
+                SlotCol::F64(Vec::new())
+            }
+            AggregateFunction::Count => SlotCol::U64(Vec::new()),
+            AggregateFunction::Avg => SlotCol::SumCount(Vec::new()),
+            AggregateFunction::Median => SlotCol::Values(Vec::new()),
         }
     }
 
     /// Grows the column to cover `n` slots (placeholders are gated by the
-    /// pane's occupancy stamp and re-initialized on touch).
+    /// pane's occupancy and re-initialized on first touch).
     fn grow(&mut self, n: usize) {
         match self {
             SlotCol::F64(v) => v.resize(n, 0.0),
             SlotCol::U64(v) => v.resize(n, 0),
             SlotCol::SumCount(v) => v.resize(n, SumCount::default()),
             SlotCol::Values(v) => v.resize_with(n, Vec::new),
-        }
-    }
-
-    /// Re-initializes slot `i` for function `f` (first touch this epoch).
-    /// The holistic multiset clears in place so its capacity survives
-    /// pane recycling.
-    #[inline]
-    fn reinit(&mut self, f: AggregateFunction, i: usize) {
-        match self {
-            SlotCol::F64(v) => {
-                v[i] = match init_slot(f) {
-                    Slot::F64(x) => x,
-                    _ => unreachable!("column shape is fixed at construction"),
-                }
-            }
-            SlotCol::U64(v) => v[i] = 0,
-            SlotCol::SumCount(v) => v[i] = SumCount::default(),
-            SlotCol::Values(v) => v[i].clear(),
         }
     }
 
@@ -204,152 +383,83 @@ impl SlotCol {
             _ => unreachable!("slot shape is fixed at init"),
         }
     }
-
-    /// Folds a contiguous value run into slot `i` through the aggregate's
-    /// columnar kernel — one function dispatch per key sub-run per term,
-    /// not one per element per term.
-    #[inline]
-    fn fold_run(&mut self, f: AggregateFunction, i: usize, values: &[f64]) {
-        match (f, self) {
-            (AggregateFunction::Min, SlotCol::F64(v)) => MinAgg::fold_run(&mut v[i], values),
-            (AggregateFunction::Max, SlotCol::F64(v)) => MaxAgg::fold_run(&mut v[i], values),
-            (AggregateFunction::Sum, SlotCol::F64(v)) => SumAgg::fold_run(&mut v[i], values),
-            (AggregateFunction::Count, SlotCol::U64(v)) => CountAgg::fold_run(&mut v[i], values),
-            (AggregateFunction::Avg, SlotCol::SumCount(v)) => AvgAgg::fold_run(&mut v[i], values),
-            (AggregateFunction::Median, SlotCol::Values(v)) => {
-                MedianAgg::fold_run(&mut v[i], values)
-            }
-            _ => unreachable!("column shape is fixed at construction"),
-        }
-    }
-
-    /// Combines slot `i` of `src` into slot `i` of `self` (combinable
-    /// functions only — the sub-aggregate cascade).
-    #[inline]
-    fn combine_at(&mut self, f: AggregateFunction, i: usize, src: &SlotCol) {
-        match (f, self, src) {
-            (AggregateFunction::Min, SlotCol::F64(a), SlotCol::F64(b)) => {
-                MinAgg::combine(&mut a[i], &b[i]);
-            }
-            (AggregateFunction::Max, SlotCol::F64(a), SlotCol::F64(b)) => {
-                MaxAgg::combine(&mut a[i], &b[i]);
-            }
-            (AggregateFunction::Sum, SlotCol::F64(a), SlotCol::F64(b)) => {
-                SumAgg::combine(&mut a[i], &b[i]);
-            }
-            (AggregateFunction::Count, SlotCol::U64(a), SlotCol::U64(b)) => {
-                CountAgg::combine(&mut a[i], &b[i]);
-            }
-            (AggregateFunction::Avg, SlotCol::SumCount(a), SlotCol::SumCount(b)) => {
-                AvgAgg::combine(&mut a[i], &b[i]);
-            }
-            (AggregateFunction::Median, ..) => {
-                unreachable!("holistic slots are raw-fed, never combined")
-            }
-            _ => unreachable!("column shape is fixed at construction"),
-        }
-    }
-
-    /// Emission-side merge of two halves of the same instance (see
-    /// [`merge_slot`]): combine for combinable functions, multiset
-    /// concatenation for the holistic column.
-    #[inline]
-    fn merge_at(&mut self, f: AggregateFunction, i: usize, src: &Slot) {
-        match (f, self, src) {
-            (AggregateFunction::Median, SlotCol::Values(a), Slot::Values(b)) => {
-                a[i].extend_from_slice(b);
-            }
-            (f, col, src) => {
-                let mut current = col.read(i);
-                merge_slot(f, &mut current, src);
-                col.write(i, &current);
-            }
-        }
-    }
-
-    /// Finalizes slot `i` into the result value.
-    #[inline]
-    fn finalize(&self, f: AggregateFunction, i: usize) -> f64 {
-        match (f, self) {
-            (AggregateFunction::Min, SlotCol::F64(v)) => MinAgg::finalize(&v[i]),
-            (AggregateFunction::Max, SlotCol::F64(v)) => MaxAgg::finalize(&v[i]),
-            (AggregateFunction::Sum, SlotCol::F64(v)) => SumAgg::finalize(&v[i]),
-            (AggregateFunction::Count, SlotCol::U64(v)) => CountAgg::finalize(&v[i]),
-            (AggregateFunction::Avg, SlotCol::SumCount(v)) => AvgAgg::finalize(&v[i]),
-            (AggregateFunction::Median, SlotCol::Values(v)) => MedianAgg::finalize(&v[i]),
-            _ => unreachable!("column shape is fixed at construction"),
-        }
-    }
 }
 
 /// One window instance's multi-aggregate state as a struct of arrays:
 /// one [`SlotCol`] per aggregate term, sharing a single epoch-stamped
-/// occupancy (same sparse-set scheme as [`crate::slab::Slab`]). A
-/// multi-term fold over a key sub-run dispatches each term's column once
-/// and then runs a tight loop over contiguous memory.
-#[derive(Debug, Clone, Default)]
+/// [`Occupancy`]. A fold over a key sub-run dispatches each term's
+/// column once and then runs a tight loop over contiguous memory.
+#[derive(Debug, Clone)]
 pub(crate) struct MultiPane {
-    /// One column per aggregate term (SELECT-list order); empty until
-    /// the first touch (panes are created via `Default` by the deque).
+    /// Live slots this epoch.
+    occ: Occupancy,
+    /// One column per aggregate term (SELECT-list order), each covering
+    /// `occ.capacity()` slots.
     cols: Box<[SlotCol]>,
-    /// `stamp[slot] == epoch` marks the slot live this epoch.
-    stamp: Vec<u32>,
-    /// Current epoch; 0 only in the pristine `Default` state (bumped to 1
-    /// on first touch so zeroed stamps read vacant).
-    epoch: u32,
-    /// Slots occupied this epoch, in first-touch order.
-    touched: Vec<u32>,
 }
 
 impl crate::pane::PaneState for MultiPane {
     #[inline]
     fn is_empty(&self) -> bool {
-        self.touched.is_empty()
+        self.occ.is_empty()
     }
     #[inline]
     fn clear(&mut self) {
-        self.touched.clear();
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
+        self.occ.clear();
     }
 }
 
 impl MultiPane {
+    /// An empty pane with one column per function.
+    fn new(funcs: &[AggregateFunction]) -> Self {
+        MultiPane {
+            occ: Occupancy::default(),
+            cols: funcs.iter().map(|&f| SlotCol::new(f)).collect(),
+        }
+    }
+
     /// Number of live keys this epoch.
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.touched.len()
+        self.occ.len()
     }
 
-    /// Marks `slot` live, lazily building the columns on a pane's first
-    /// ever use and re-initializing the slot's accumulators on first
-    /// touch this epoch.
+    /// Grows occupancy and every column to cover `n` slots — paid once
+    /// per fold or combine call, so the key loops index without growth
+    /// checks.
     #[inline]
-    fn touch(&mut self, slot: u32, funcs: &[AggregateFunction]) {
-        if self.epoch == 0 {
-            self.epoch = 1;
+    fn ensure(&mut self, n: usize) {
+        if n > self.occ.capacity() {
+            self.grow(n);
         }
-        if self.cols.is_empty() && !funcs.is_empty() {
-            self.cols = funcs.iter().map(|&f| SlotCol::new(f)).collect();
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, n: usize) {
+        self.occ.grow(n);
+        for col in self.cols.iter_mut() {
+            col.grow(n);
         }
-        let i = slot as usize;
-        if i >= self.stamp.len() {
-            self.stamp.resize(i + 1, 0);
-            for col in self.cols.iter_mut() {
-                col.grow(i + 1);
-            }
+    }
+
+    /// Re-initializes, in every column, the slots first occupied after the
+    /// touched list held `before` entries (the multi-term counterpart of
+    /// the fused one-term kernels).
+    fn reset_fresh(&mut self, before: usize, funcs: &[AggregateFunction]) {
+        let fresh = &self.occ.touched()[before..];
+        for (col, &f) in self.cols.iter_mut().zip(funcs) {
+            with_agg!(f, A => reset_slots::<A>(col, fresh));
         }
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.touched.push(slot);
-            for (col, &f) in self.cols.iter_mut().zip(funcs) {
-                col.reinit(f, i);
-            }
-        }
+    }
+
+    /// Occupies one slot, re-initializing every column on first touch
+    /// (the row-at-a-time path of state adoption).
+    fn occupy_row(&mut self, slot: u32, funcs: &[AggregateFunction]) {
+        self.ensure(slot as usize + 1);
+        let before = self.occ.len();
+        self.occ.occupy(slot);
+        self.reset_fresh(before, funcs);
     }
 
     /// Reads the row at `slot` in interchange format.
@@ -359,7 +469,7 @@ impl MultiPane {
 
     /// Writes an interchange row into `slot` (occupying it).
     fn write_row(&mut self, slot: u32, acc: &MultiAcc, funcs: &[AggregateFunction]) {
-        self.touch(slot, funcs);
+        self.occupy_row(slot, funcs);
         for (col, slot_val) in self.cols.iter_mut().zip(acc.iter()) {
             col.write(slot as usize, slot_val);
         }
@@ -370,7 +480,8 @@ impl MultiPane {
     /// slot→key table.
     fn to_entries(&self, slot_keys: &[u32]) -> KeyedPane {
         let mut entries: KeyedPane = self
-            .touched
+            .occ
+            .touched()
             .iter()
             .map(|&s| (slot_keys[s as usize], self.read_row(s)))
             .collect();
@@ -379,29 +490,118 @@ impl MultiPane {
     }
 
     /// Folds the carried half of an instance in (emission-side merge; see
-    /// [`merge_slot`]). Both panes are slot-aligned through the same
+    /// [`Aggregate::merge`]). Both panes are slot-aligned through the same
     /// interner.
     fn merge_from(&mut self, carried: &MultiPane, funcs: &[AggregateFunction]) {
-        for &slot in &carried.touched {
-            self.touch(slot, funcs);
-            for (j, col) in self.cols.iter_mut().enumerate() {
-                col.merge_at(
-                    funcs[j],
-                    slot as usize,
-                    &carried.cols[j].read(slot as usize),
-                );
-            }
+        self.ensure(carried.occ.capacity());
+        let before = self.occ.len();
+        for &slot in carried.occ.touched() {
+            self.occ.occupy(slot);
+        }
+        self.reset_fresh(before, funcs);
+        let slots = carried.occ.touched();
+        for (j, col) in self.cols.iter_mut().enumerate() {
+            with_agg!(funcs[j], A => combine_all::<A>(col, &carried.cols[j], slots, A::merge));
+        }
+    }
+
+    /// Appends one result row per (live slot, term), key-major over the
+    /// live slots in first-touch order. Each term finalizes through one
+    /// monomorphized loop: one-term panes push finished rows directly,
+    /// wider panes push the row skeletons and then fill them term by term.
+    fn emit_into(
+        &self,
+        rows: &mut Vec<WindowResult>,
+        funcs: &[AggregateFunction],
+        slot_keys: &[u32],
+        window: Window,
+        interval: Interval,
+    ) {
+        let slots = self.occ.touched();
+        if let [f] = *funcs {
+            with_agg!(f, A => push_finalized::<A>(&self.cols[0], slots, slot_keys, rows, window, interval));
+            return;
+        }
+        let base = rows.len();
+        for &slot in slots {
+            let key = slot_keys[slot as usize];
+            rows.extend((0..funcs.len() as u32).map(|agg| WindowResult {
+                window,
+                interval,
+                key,
+                agg,
+                value: 0.0,
+            }));
+        }
+        for (j, &f) in funcs.iter().enumerate() {
+            let rows = &mut rows[base + j..];
+            with_agg!(f, A => finalize_into::<A>(&self.cols[j], slots, rows, funcs.len()));
         }
     }
 }
 
-/// The open instances of one multi-aggregate window operator: the shared
-/// [`PaneDeque`] bookkeeping (identical sealing, fast-forward, and
-/// spare-pane recycling as the single-aggregate [`crate::pane::PaneStore`])
-/// plus per-slot accumulator semantics and pane-level cost accounting
-/// (one `update`/`combine` per element, however many slots the element
-/// fans out to).
-struct MultiStore {
+/// Instances of `window` a run starting at `t0` routes to: a run never
+/// crosses a slide boundary, so one instance computation serves all of
+/// it (and a tumbling window needs no more than one division).
+#[inline(always)]
+fn run_instances(window: &Window, t0: u64) -> std::ops::RangeInclusive<u64> {
+    if window.is_tumbling() {
+        let m = t0 / window.slide();
+        m..=m
+    } else {
+        window.instances_containing(t0)
+    }
+}
+
+/// Emulated element work of folding the run `times` into instance `m`
+/// (XOR-combined, so it is independent of the value folds' order).
+#[inline(always)]
+fn run_work(times: &[u64], m: u64, work: u32) -> u64 {
+    times
+        .iter()
+        .fold(0, |sink, &t| sink ^ element_work(t ^ m, work))
+}
+
+/// Emulated element work of combining the live `slots` of a source pane
+/// into instance `m`, seeded with their raw keys.
+#[inline(always)]
+fn pane_work(slots: &[u32], slot_keys: &[u32], m: u64, work: u32) -> u64 {
+    slots.iter().fold(0, |sink, &slot| {
+        sink ^ element_work(m ^ u64::from(slot_keys[slot as usize]), work)
+    })
+}
+
+/// A store's raw-run fold — [`MultiStore::fold_one`] monomorphized per
+/// aggregate ([`OneTerm`]), or [`MultiStore::fold_multi`] ([`Terms`]) —
+/// resolved once per feed call and inlined into the run loop.
+trait RawFold {
+    fn fold(store: &mut MultiStore, times: &[u64], slots: &[u32], values: &[f64], n_slots: usize);
+}
+
+struct OneTerm<A>(std::marker::PhantomData<A>);
+
+impl<A: ColAgg> RawFold for OneTerm<A> {
+    #[inline(always)]
+    fn fold(store: &mut MultiStore, times: &[u64], slots: &[u32], values: &[f64], n_slots: usize) {
+        store.fold_one::<A>(times, slots, values, n_slots);
+    }
+}
+
+struct Terms;
+
+impl RawFold for Terms {
+    #[inline(always)]
+    fn fold(store: &mut MultiStore, times: &[u64], slots: &[u32], values: &[f64], n_slots: usize) {
+        store.fold_multi(times, slots, values, n_slots);
+    }
+}
+
+/// The open instances of one window operator: the [`PaneDeque`]
+/// bookkeeping (sealing, fast-forward, spare-pane recycling) plus
+/// per-term accumulator semantics and pane-level cost accounting (one
+/// `update`/`combine` per element, however many terms the element fans
+/// out to).
+pub(crate) struct MultiStore {
     deque: PaneDeque<MultiPane>,
     /// Carried-over panes from a live plan swap, for open instances of
     /// operators that feed children — ascending by instance index, held
@@ -425,8 +625,6 @@ struct MultiStore {
     updates: u64,
     /// Pane-level sub-aggregate combines (once per element, not per slot).
     combines: u64,
-    /// Per-slot accumulator operations (the fan-out the pane work feeds).
-    agg_ops: u64,
     /// Instances sealed at this operator (profiling; counters level).
     seals: u64,
     /// Result rows emitted from this operator (profiling; counters level).
@@ -446,7 +644,7 @@ impl MultiStore {
         work: u32,
     ) -> Self {
         MultiStore {
-            deque: PaneDeque::new(window),
+            deque: PaneDeque::new(window, MultiPane::new(&funcs)),
             carry: Vec::new(),
             funcs,
             raw_mask,
@@ -455,7 +653,6 @@ impl MultiStore {
             work_sink: 0,
             updates: 0,
             combines: 0,
-            agg_ops: 0,
             seals: 0,
             emitted: 0,
             pane_live_hw: 0,
@@ -466,6 +663,13 @@ impl MultiStore {
     #[inline]
     fn front_end(&self) -> u64 {
         self.deque.front_end()
+    }
+
+    /// Per-term accumulator operations the pane work fanned out to: every
+    /// raw update feeds each raw-fed term, every combine each combinable
+    /// term.
+    fn agg_ops(&self) -> u64 {
+        self.updates * self.raw_mask.len() as u64 + self.combines * self.combine_mask.len() as u64
     }
 
     /// Records one sealed instance with `live` occupied entries
@@ -483,13 +687,12 @@ impl MultiStore {
     }
 
     /// Copies this operator's observed counters into a [`NodeProfile`]
-    /// (identity fields are the caller's responsibility). The slot
-    /// fan-out ships as `agg_ops` — the multi core maintains it directly
-    /// rather than deriving it from `updates + combines`.
+    /// (identity fields are the caller's responsibility). The term
+    /// fan-out ships as `agg_ops` ([`Self::agg_ops`]).
     fn profile_into(&self, p: &mut NodeProfile) {
         p.updates += self.updates;
         p.combines += self.combines;
-        p.agg_ops += self.agg_ops;
+        p.agg_ops += self.agg_ops();
         p.seals += self.seals;
         p.emitted += self.emitted;
         p.pane_live_hw = p.pane_live_hw.max(self.pane_live_hw);
@@ -514,8 +717,7 @@ impl MultiStore {
             return;
         }
         let (_, carried) = self.carry.remove(0);
-        let funcs = self.funcs.clone();
-        self.deque.pane_mut(m).merge_from(&carried, &funcs);
+        self.deque.pane_mut(m).merge_from(&carried, &self.funcs);
     }
 
     /// True when the store holds no live state at all: every open pane is
@@ -533,92 +735,170 @@ impl MultiStore {
 
     /// Folds a *run* of raw events — column slices whose timestamps are
     /// non-decreasing and all route to the same instance set, with keys
-    /// pre-translated to dense slots — into those instances, updating the
-    /// operator's raw-fed slots. The instance arithmetic is paid once per
-    /// run and each key sub-run resolves its accumulator columns once,
-    /// then folds through the columnar kernels ([`SlotCol::fold_run`]) —
-    /// zero hash probes. The emulated element-work loop runs separately
-    /// from the value folds; its sink is combined by XOR, so the split is
+    /// pre-translated to dense slots (`n_slots` is the interner's slot
+    /// count) — into those instances, for a one-term store: the whole
+    /// instance loop is monomorphized per aggregate and occupancy is fused
+    /// into the fold over every key sub-run — zero hash probes, no per-key
+    /// dispatch. The emulated element-work loop runs apart from (after)
+    /// the value fold; its sink is combined by XOR, so the split is
     /// order-insensitive, while the value folds keep strict per-element
-    /// order for the order-sensitive kernels (SUM/AVG). Per-element
-    /// accounting (pane work counted once per element, `agg_ops` per slot
-    /// fan-out) is unchanged.
-    fn update_run(&mut self, times: &[u64], keys: &[u32], slots: &[u32], values: &[f64]) {
-        debug_assert!(!times.is_empty());
-        debug_assert!(times.len() == keys.len() && times.len() == values.len());
-        debug_assert!(times.len() == slots.len());
-        let window = *self.deque.window();
-        let instances = window.instances_containing(times[0]);
-        debug_assert_eq!(
-            window.instances_containing(times[times.len() - 1]),
-            instances,
-            "run crosses a slide boundary"
-        );
-        let work = self.work;
-        let mut work_sink = self.work_sink;
-        let mut folded = 0u64;
-        for m in instances {
-            for &t in times {
-                work_sink ^= element_work(t ^ m, work);
-            }
-            let funcs = &self.funcs;
-            let raw_mask = &self.raw_mask;
+    /// order for the order-sensitive kernels (SUM/AVG). Pane work is
+    /// counted once per element.
+    #[inline(always)]
+    fn fold_one<A: ColAgg>(
+        &mut self,
+        times: &[u64],
+        slots: &[u32],
+        values: &[f64],
+        n_slots: usize,
+    ) {
+        debug_assert_eq!(&*self.raw_mask, &[0]);
+        for m in run_instances(self.deque.window(), times[0]) {
             let pane = self.deque.pane_mut(m);
-            let mut k = 0;
-            while k < slots.len() {
-                let slot = slots[k];
-                let mut end = k + 1;
-                while end < slots.len() && slots[end] == slot {
-                    end += 1;
-                }
-                pane.touch(slot, funcs);
-                let run = &values[k..end];
-                for &j in raw_mask.iter() {
-                    pane.cols[j].fold_run(funcs[j], slot as usize, run);
-                }
-                k = end;
-            }
-            folded += times.len() as u64;
+            pane.ensure(n_slots);
+            touch_fold_runs::<A>(&mut pane.occ, &mut pane.cols[0], slots, values);
+            self.work_sink ^= run_work(times, m, self.work);
+            self.updates += times.len() as u64;
         }
-        self.updates += folded;
-        self.agg_ops += folded * self.raw_mask.len() as u64;
-        self.work_sink = work_sink;
+    }
+
+    /// [`Self::fold_one`] for a multi-term store: one occupancy pass, then
+    /// one kernel per raw-fed term. Out of line, so the one-term run loops
+    /// it shares a caller with stay compact.
+    #[inline(never)]
+    fn fold_multi(&mut self, times: &[u64], slots: &[u32], values: &[f64], n_slots: usize) {
+        for m in run_instances(self.deque.window(), times[0]) {
+            let pane = self.deque.pane_mut(m);
+            pane.ensure(n_slots);
+            let before = pane.occ.len();
+            occupy_runs(&mut pane.occ, slots);
+            pane.reset_fresh(before, &self.funcs);
+            for &j in self.raw_mask.iter() {
+                with_agg!(self.funcs[j], A => fold_runs::<A>(&mut pane.cols[j], slots, values));
+            }
+            self.work_sink ^= run_work(times, m, self.work);
+            self.updates += times.len() as u64;
+        }
     }
 
     /// Folds a whole upstream pane into every instance containing `iv`,
     /// combining the combinable slots only (holistic slots are raw-fed and
     /// must never inherit parent state). Both panes are slot-aligned
     /// through the shared interner, so the merge is a linear walk of the
-    /// source's live slots; `slot_keys` (the interner's slot→key table)
-    /// recovers raw keys for the emulated element-work seed. The work
-    /// parameters are resolved once per call, outside the instance loop.
-    #[inline]
+    /// source's live slots by one monomorphized kernel per term
+    /// (occupancy fused in for one-term stores); `slot_keys` (the
+    /// interner's slot→key table) recovers raw keys for the emulated
+    /// element-work seed.
     fn combine_pane(&mut self, iv: &Interval, source: &MultiPane, slot_keys: &[u32]) {
-        let window = *self.deque.window();
-        let work = self.work;
-        let mut sink = self.work_sink;
-        for m in window.instances_containing_interval(iv) {
-            self.combines += source.len() as u64;
-            self.agg_ops += source.len() as u64 * self.combine_mask.len() as u64;
-            let funcs = &self.funcs;
-            let combine_mask = &self.combine_mask;
-            let pane = self.deque.pane_mut(m);
-            for &slot in &source.touched {
-                sink ^= element_work(m ^ u64::from(slot_keys[slot as usize]), work);
-                pane.touch(slot, funcs);
-                for &j in combine_mask.iter() {
-                    pane.cols[j].combine_at(funcs[j], slot as usize, &source.cols[j]);
-                }
-            }
+        match *self.funcs {
+            [f] => with_agg!(f, A => self.combine_one::<A>(iv, source, slot_keys)),
+            _ => self.combine_multi(iv, source, slot_keys),
         }
-        self.work_sink = sink;
+    }
+
+    /// [`Self::combine_pane`] for a one-term store. Out of line: inlined
+    /// into the seal loop it measured slower (4096-key factored ingest).
+    #[inline(never)]
+    fn combine_one<A: ColAgg>(&mut self, iv: &Interval, source: &MultiPane, slot_keys: &[u32]) {
+        let slots = source.occ.touched();
+        for m in self.deque.window().instances_containing_interval(iv) {
+            let pane = self.deque.pane_mut(m);
+            pane.ensure(slot_keys.len());
+            touch_combine_all::<A>(&mut pane.occ, &mut pane.cols[0], &source.cols[0], slots);
+            self.work_sink ^= pane_work(slots, slot_keys, m, self.work);
+            self.combines += slots.len() as u64;
+        }
+    }
+
+    /// [`Self::combine_pane`] for a multi-term store: one occupancy pass,
+    /// then one kernel per combinable term.
+    #[inline(never)]
+    fn combine_multi(&mut self, iv: &Interval, source: &MultiPane, slot_keys: &[u32]) {
+        let slots = source.occ.touched();
+        for m in self.deque.window().instances_containing_interval(iv) {
+            let pane = self.deque.pane_mut(m);
+            pane.ensure(slot_keys.len());
+            let before = pane.occ.len();
+            for &slot in slots {
+                pane.occ.occupy(slot);
+            }
+            pane.reset_fresh(before, &self.funcs);
+            for &j in self.combine_mask.iter() {
+                let src = &source.cols[j];
+                with_agg!(self.funcs[j], A => combine_all::<A>(&mut pane.cols[j], src, slots, A::combine));
+            }
+            self.work_sink ^= pane_work(slots, slot_keys, m, self.work);
+            self.combines += slots.len() as u64;
+        }
     }
 }
 
-/// The compiled physical pipeline for a multi-aggregate plan: the
-/// [`crate::executor::PlanPipeline`] core used whenever a plan carries
-/// more than one aggregate term (single-term plans keep the monomorphized
-/// per-function cores and are byte-identical to the pre-multi engine).
+/// Pane-layer test support: a one-term store driven with slots standing
+/// in for keys.
+#[cfg(test)]
+impl MultiStore {
+    /// A one-term store over `window` at the default element work.
+    pub(crate) fn single(window: Window, f: AggregateFunction) -> Self {
+        let combine: Box<[usize]> = match f.class() {
+            AggregateClass::Holistic => Box::new([]),
+            _ => Box::new([0]),
+        };
+        MultiStore::new(
+            window,
+            Box::new([f]),
+            Box::new([0]),
+            combine,
+            crate::pane::DEFAULT_ELEMENT_WORK,
+        )
+    }
+
+    /// Folds one run (see [`Self::update_run`]).
+    pub(crate) fn fold(&mut self, times: &[u64], slots: &[u32], values: &[f64]) {
+        let n_slots = slots.iter().max().map_or(0, |&s| s as usize + 1);
+        with_agg!(self.funcs[0], A => self.fold_one::<A>(times, slots, values, n_slots));
+    }
+
+    /// Combines a source pane holding `entries` (one value per slot).
+    pub(crate) fn combine(&mut self, iv: &Interval, entries: &[(u32, f64)], slot_keys: &[u32]) {
+        let mut source = MultiPane::new(&self.funcs);
+        source.ensure(slot_keys.len());
+        for &(slot, value) in entries {
+            with_agg!(self.funcs[0], A => touch_fold_runs::<A>(&mut source.occ, &mut source.cols[0], &[slot], &[value]));
+        }
+        self.combine_pane(iv, &source, slot_keys);
+    }
+
+    /// Seals the next due instance, returning its `(slot, value)` rows
+    /// sorted by slot.
+    pub(crate) fn pop_due(&mut self, watermark: u64) -> Option<(Interval, Vec<(u32, f64)>)> {
+        let interval = self.next_due(watermark)?;
+        let pane = self.deque.front_pane();
+        let mut rows: Vec<(u32, f64)> = pane
+            .occ
+            .touched()
+            .iter()
+            .map(|&slot| {
+                let value = with_agg!(self.funcs[0], A => A::finalize(&A::col(&pane.cols[0])[slot as usize]));
+                (slot, value)
+            })
+            .collect();
+        rows.sort_by_key(|&(slot, _)| slot);
+        self.deque.retire_front();
+        Some((interval, rows))
+    }
+
+    /// `(updates, combines, work sink)`.
+    pub(crate) fn counters(&self) -> (u64, u64, u64) {
+        (self.updates, self.combines, self.work_sink)
+    }
+
+    pub(crate) fn deque(&self) -> &PaneDeque<MultiPane> {
+        &self.deque
+    }
+}
+
+/// The compiled physical pipeline of a plan: the
+/// [`crate::executor::PlanPipeline`] core for every aggregate list.
 pub(crate) struct MultiCore {
     stores: Vec<MultiStore>,
     windows: Vec<Window>,
@@ -647,7 +927,8 @@ pub(crate) struct MultiCore {
     /// Per-batch key→slot translation buffer (reused; ingress-only).
     slot_buf: Vec<u32>,
     /// Largest live-entry count seen in a sealing pane since the last
-    /// compaction (see `Typed::maybe_compact`).
+    /// compaction — the signal distinguishing a genuinely wide key space
+    /// from a rotating one that has retired most of its slots.
     peak_pane_live: usize,
     /// `fed` at the last compaction (spacing guard against thrash).
     last_compact_fed: u64,
@@ -780,34 +1061,17 @@ impl MultiCore {
     }
 
     /// Emits one result per (key, aggregate term) for the pane at the
-    /// store front, straight into the sink (no intermediate buffer). Keys
-    /// are recovered through the interner's slot→key table; emission
-    /// walks the pane's live slots in first-touch order.
+    /// store front, straight into the sink (no intermediate buffer; see
+    /// [`MultiPane::emit_into`]). Keys are recovered through the
+    /// interner's slot→key table.
     #[inline]
     fn emit_front(&mut self, op: usize, interval: Interval, sink: &mut ResultSink) {
-        let window = self.windows[op];
-        let slot_keys = self.interner.keys();
         let pane = self.stores[op].deque.front_pane();
-        let mut emitted = 0u64;
-        if let ResultSink::Collect(_) = sink {
-            for &slot in &pane.touched {
-                let key = slot_keys[slot as usize];
-                for (j, &f) in self.funcs.iter().enumerate() {
-                    sink.push(
-                        WindowResult {
-                            window,
-                            interval,
-                            key,
-                            agg: j as u32,
-                            value: pane.cols[j].finalize(f, slot as usize),
-                        },
-                        &mut emitted,
-                    );
-                }
-            }
-        } else {
-            emitted = pane.len() as u64 * self.funcs.len() as u64;
+        if let ResultSink::Collect(rows) = sink {
+            let slot_keys = self.interner.keys();
+            pane.emit_into(rows, &self.funcs, slot_keys, self.windows[op], interval);
         }
+        let emitted = pane.len() as u64 * self.funcs.len() as u64;
         self.results_emitted += emitted;
         if self.profile.counters_on() {
             self.stores[op].emitted += emitted;
@@ -938,7 +1202,7 @@ impl MultiCore {
             if feeds_children {
                 let mut carried: Vec<(u64, MultiPane)> = Vec::with_capacity(panes.len());
                 for (m, entries) in panes {
-                    let mut pane = MultiPane::default();
+                    let mut pane = MultiPane::new(&funcs);
                     for (key, old_acc) in entries {
                         let slot = self.interner.intern(key);
                         pane.write_row(slot, &remap(&old_acc), &funcs);
@@ -963,8 +1227,9 @@ impl MultiCore {
     }
 
     /// Seals every instance with `end ≤ watermark`, cascading combinable
-    /// sub-aggregates down the forest (same single topological pass as the
-    /// monomorphized core). Cascading runs *before* the carry merge, so
+    /// sub-aggregates down the forest. Operators are stored in topological
+    /// order (parents first), so a single pass suffices; the pass also
+    /// refreshes the deadline. Cascading runs *before* the carry merge, so
     /// instances migrated across a plan swap deliver only their post-swap
     /// half to children (the pre-swap half already arrived through the
     /// export-time flush) while still emitting the complete instance.
@@ -977,6 +1242,13 @@ impl MultiCore {
         };
         let mut deadline = u64::MAX;
         for op in 0..self.stores.len() {
+            // Most operators have nothing due at a given watermark: skip
+            // them with one compare.
+            let front_end = self.stores[op].front_end();
+            if front_end > watermark {
+                deadline = deadline.min(front_end);
+                continue;
+            }
             let mut op_timer = clock.then(Instant::now);
             let mut op_nanos = 0u64;
             while let Some(interval) = self.stores[op].next_due(watermark) {
@@ -1010,8 +1282,10 @@ impl MultiCore {
                 if counters {
                     self.stores[op].note_seal(live as u64);
                 }
-                let m = interval.start / self.windows[op].slide();
-                self.stores[op].merge_carry_front(m);
+                if !self.stores[op].carry.is_empty() {
+                    let m = interval.start / self.windows[op].slide();
+                    self.stores[op].merge_carry_front(m);
+                }
                 if self.exposed[op] {
                     self.emit_front(op, interval, sink);
                 }
@@ -1026,12 +1300,18 @@ impl MultiCore {
         self.deadline = deadline;
     }
 
-    /// Recycles the interner and the slabs sized to it at idle points
-    /// (see `Typed::maybe_compact` — same conditions, plus the store-level
-    /// idle check covering carried-over swap state). Called from watermark
-    /// announcements only — never from the sealing inside a columnar
-    /// feed, whose translated slot buffer must stay valid for the rest of
-    /// the batch.
+    /// Recycles the interner (and the pane columns sized to it) at idle
+    /// points when the live key working set has shrunk well below the
+    /// slot count — long key churn would otherwise grow dense columns
+    /// without bound. Only runs when no store holds live state (open or
+    /// carried-over panes; slot ids are then referenced nowhere), at
+    /// least [`crate::executor::COMPACT_MIN_SLOTS`] slots exist, the
+    /// largest recent pane used under half the slots, and enough events
+    /// passed since the last compaction to amortize re-interning.
+    ///
+    /// Called from watermark announcements only — never from the sealing
+    /// inside a columnar feed, whose translated slot buffer must stay
+    /// valid for the rest of the batch.
     fn maybe_compact(&mut self) {
         let slots = self.interner.len();
         if slots >= crate::executor::COMPACT_MIN_SLOTS
@@ -1052,12 +1332,33 @@ impl MultiCore {
     }
 }
 
-impl crate::executor::PipelineCore for MultiCore {
-    /// Run-sliced columnar feed, mirroring the monomorphized core's
-    /// implementation (see `Typed::feed_columns`): one instance division
-    /// per run per raw-fed operator, one hash probe per key sub-run,
-    /// element-for-element identical behavior to per-event feeding.
-    fn feed_columns(
+/// The pipeline-facing surface [`crate::executor::PlanPipeline`] drives.
+impl MultiCore {
+    /// The run-sliced feed: intern the key column into dense slots once
+    /// at ingress, split the columns at slide boundaries and the sealing
+    /// deadline, then fold each run into every raw-fed operator with one
+    /// instance division per run and one slot-indexed accumulator resolve
+    /// per key sub-run — zero hash probes past this point. Behavior
+    /// (results, error position, accounting) is element-for-element
+    /// identical to feeding the events one at a time.
+    pub(crate) fn feed_columns(
+        &mut self,
+        times: &[u64],
+        keys: &[u32],
+        values: &[f64],
+        sink: &mut ResultSink,
+    ) -> Result<()> {
+        // One dispatch per batch: the whole run loop below compiles per
+        // aggregate for one-term queries.
+        match *self.funcs {
+            [f] => with_agg!(f, A => self.feed::<OneTerm<A>>(times, keys, values, sink)),
+            _ => self.feed::<Terms>(times, keys, values, sink),
+        }
+    }
+
+    /// [`Self::feed_columns`] with the stores' raw fold resolved.
+    #[inline(always)]
+    fn feed<F: RawFold>(
         &mut self,
         times: &[u64],
         keys: &[u32],
@@ -1065,125 +1366,126 @@ impl crate::executor::PipelineCore for MultiCore {
         sink: &mut ResultSink,
     ) -> Result<()> {
         debug_assert!(times.len() == keys.len() && times.len() == values.len());
-        // Intern the key column once at ingress: one interner probe per
-        // key change, zero hash probes on the fold path below.
-        let mut slot_buf = std::mem::take(&mut self.slot_buf);
-        crate::executor::intern_keys(&mut self.interner, keys, &mut slot_buf);
         let clock = self.profile.clock_on() && {
             self.feed_passes = self.feed_passes.wrapping_add(1);
             self.feed_passes
                 .is_multiple_of(crate::executor::PROFILE_CLOCK_STRIDE)
         };
+        if let ([t], [key]) = (times, keys) {
+            // The per-event wrapper's one-element batch: no run slicing,
+            // no slot buffer.
+            self.check_order(*t, sink)?;
+            let slot = self.interner.intern(*key);
+            self.fold_raw::<F>(times, &[slot], values, clock);
+            return Ok(());
+        }
+        // Intern the key column once at ingress: one interner probe per
+        // key change, zero hash probes on the fold path below.
+        let mut slot_buf = std::mem::take(&mut self.slot_buf);
+        crate::executor::intern_keys(&mut self.interner, keys, &mut slot_buf);
         let mut i = 0;
         while i < times.len() {
             let head = times[i];
-            if head < self.watermark {
+            if let Err(e) = self.check_order(head, sink) {
                 self.slot_buf = slot_buf;
-                return Err(EngineError::OutOfOrderEvent {
-                    at: head,
-                    watermark: self.watermark,
-                });
+                return Err(e);
             }
-            if head >= self.deadline {
-                self.advance(head, sink);
-            }
-            // One-element batches (the per-event wrapper) skip the run
-            // arithmetic: `update_run` on a single element already does
-            // exactly what the per-event path used to.
-            let j = if times.len() == 1 {
-                1
-            } else {
-                let limit = crate::executor::run_limit(
-                    head,
-                    self.raw_ops.iter().map(|&op| &self.windows[op]),
-                    self.deadline,
-                );
-                i + crate::executor::run_len(&times[i..], limit)
-            };
-            for &op in &self.raw_ops {
-                if clock {
-                    let t0 = Instant::now();
-                    self.stores[op].update_run(
-                        &times[i..j],
-                        &keys[i..j],
-                        &slot_buf[i..j],
-                        &values[i..j],
-                    );
-                    self.stores[op]
-                        .add_nanos(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                } else {
-                    self.stores[op].update_run(
-                        &times[i..j],
-                        &keys[i..j],
-                        &slot_buf[i..j],
-                        &values[i..j],
-                    );
-                }
-            }
-            let last = times[j - 1];
-            self.watermark = last;
-            self.fed += (j - i) as u64;
-            self.last_event_time = self.last_event_time.max(last);
+            let limit = crate::executor::run_limit(
+                head,
+                self.raw_ops.iter().map(|&op| &self.windows[op]),
+                self.deadline,
+            );
+            let j = i + crate::executor::run_len(&times[i..], limit);
+            self.fold_raw::<F>(&times[i..j], &slot_buf[i..j], &values[i..j], clock);
             i = j;
         }
         self.slot_buf = slot_buf;
         Ok(())
     }
 
-    fn advance_to(&mut self, watermark: u64, sink: &mut ResultSink) {
+    /// Validates a run head against the ordering watermark and seals
+    /// whatever it makes due.
+    #[inline(always)]
+    fn check_order(&mut self, head: u64, sink: &mut ResultSink) -> Result<()> {
+        if head < self.watermark {
+            return Err(EngineError::OutOfOrderEvent {
+                at: head,
+                watermark: self.watermark,
+            });
+        }
+        if head >= self.deadline {
+            self.advance(head, sink);
+        }
+        Ok(())
+    }
+
+    /// Folds one run into every raw-fed operator (timing each on sampled
+    /// passes) and advances the feed accounting.
+    #[inline(always)]
+    fn fold_raw<F: RawFold>(&mut self, times: &[u64], slots: &[u32], values: &[f64], clock: bool) {
+        let n_slots = self.interner.len();
+        for &op in &self.raw_ops {
+            let store = &mut self.stores[op];
+            if clock {
+                let t0 = Instant::now();
+                F::fold(store, times, slots, values, n_slots);
+                store.add_nanos(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            } else {
+                F::fold(store, times, slots, values, n_slots);
+            }
+        }
+        let last = times[times.len() - 1];
+        self.watermark = last;
+        self.fed += times.len() as u64;
+        self.last_event_time = self.last_event_time.max(last);
+    }
+
+    pub(crate) fn advance_to(&mut self, watermark: u64, sink: &mut ResultSink) {
         self.advance(watermark, sink);
         self.watermark = self.watermark.max(watermark);
         self.maybe_compact();
     }
 
-    fn watermark(&self) -> u64 {
+    pub(crate) fn watermark(&self) -> u64 {
         self.watermark
     }
 
-    fn events_fed(&self) -> u64 {
+    pub(crate) fn events_fed(&self) -> u64 {
         self.fed
     }
 
-    fn last_event_time(&self) -> u64 {
+    pub(crate) fn last_event_time(&self) -> u64 {
         self.last_event_time
     }
 
-    fn results_emitted(&self) -> u64 {
+    pub(crate) fn results_emitted(&self) -> u64 {
         self.results_emitted
     }
 
-    fn stats(&self) -> ExecStats {
+    pub(crate) fn stats(&self) -> ExecStats {
         ExecStats {
             updates: self.stores.iter().map(|s| s.updates).sum(),
             combines: self.stores.iter().map(|s| s.combines).sum(),
-            agg_ops: self.stores.iter().map(|s| s.agg_ops).sum(),
+            agg_ops: self.stores.iter().map(MultiStore::agg_ops).sum(),
             replans: 0,
         }
     }
 
-    fn work_total(&self) -> u64 {
+    pub(crate) fn work_total(&self) -> u64 {
         self.stores
             .iter()
             .map(|s| s.work_sink)
             .fold(0u64, u64::wrapping_add)
     }
 
-    fn supports_group_state(&self) -> bool {
-        true
-    }
-
-    fn export_group_state(&mut self) -> Option<GroupState> {
-        Some(self.export_state())
-    }
-
-    fn interner_stats(&self) -> (u64, u64) {
+    pub(crate) fn interner_stats(&self) -> (u64, u64) {
         (
             self.interner_hw.0.max(self.interner.len() as u64),
             self.interner_hw.1.max(self.interner.bytes() as u64),
         )
     }
 
-    fn node_profiles(&self) -> Vec<NodeProfile> {
+    pub(crate) fn node_profiles(&self) -> Vec<NodeProfile> {
         self.windows
             .iter()
             .enumerate()
@@ -1202,7 +1504,7 @@ impl crate::executor::PipelineCore for MultiCore {
             .collect()
     }
 
-    fn compactions(&self) -> u64 {
+    pub(crate) fn compactions(&self) -> u64 {
         self.compactions
     }
 }

@@ -9,44 +9,26 @@
 //! the implementation has to honor that for measured throughput to track
 //! modeled cost (Figure 19).
 //!
-//! Panes are slot-indexed slabs ([`crate::slab::Slab`]): the executor's
+//! Panes are slot-indexed accumulator columns with epoch-stamped
+//! occupancy (`slab::Occupancy`): the core's
 //! [`crate::slab::KeyInterner`] maps each raw key to a dense slot once
-//! per batch at ingress, and every fold/combine below indexes contiguous
-//! memory by slot — no hash probes on the steady-state path. Raw keys
-//! reappear only where the cost-model's per-element work is seeded and
-//! where sealed results are emitted, recovered via the interner's
-//! slot→key table.
+//! per batch at ingress, and every fold/combine indexes contiguous memory
+//! by slot — no hash probes on the steady-state path. Raw keys reappear
+//! only where the cost-model's per-element work is seeded and where
+//! sealed results are emitted, recovered via the interner's slot→key
+//! table.
 
-use crate::agg::Aggregate;
-use crate::slab::Slab;
 use fw_core::{Interval, Window};
 use std::collections::VecDeque;
 
-/// Per-key accumulators for one window instance: a dense slot-indexed
-/// slab with epoch-stamped occupancy (O(1) clear, iteration linear in
-/// live entries).
-pub type Pane<Acc> = Slab<Acc>;
-
-/// The behavior [`PaneDeque`] needs from a pane representation, so the
-/// single-aggregate slab panes ([`Pane`]) and the multi-aggregate SoA
-/// panes (`MultiPane`, crate-private) share one sealing/recycling
-/// implementation.
-pub trait PaneState: Default {
+/// The behavior [`PaneDeque`] needs from a pane representation (the
+/// pipeline core's SoA panes, `MultiPane`, crate-private). New panes are
+/// cloned from a blank prototype, so they arrive fully shaped.
+pub trait PaneState: Clone {
     /// True when the pane holds no live entries.
     fn is_empty(&self) -> bool;
-    /// Empties the pane for reuse (O(1) for epoch-stamped slabs).
+    /// Empties the pane for reuse (O(1) for epoch-stamped occupancy).
     fn clear(&mut self);
-}
-
-impl<V> PaneState for Slab<V> {
-    #[inline]
-    fn is_empty(&self) -> bool {
-        Slab::is_empty(self)
-    }
-    #[inline]
-    fn clear(&mut self) {
-        Slab::clear(self);
-    }
 }
 
 /// Emulated per-element processing cost: dependent ALU iterations executed
@@ -78,13 +60,12 @@ pub fn element_work(seed: u64, iters: u32) -> u64 {
     x
 }
 
-/// Instance-indexed pane storage shared by the single-aggregate
-/// [`PaneStore`] and the multi-aggregate store ([`crate::multi`]): a deque
-/// of per-key maps fronted by the oldest unsealed instance, with strictly
-/// in-order sealing and a bounded spare pool. This is the bookkeeping
-/// layer only — accumulator semantics, cost accounting, and element-work
-/// emulation live in the stores composing it, so a sealing or
-/// fast-forward fix lands in exactly one place.
+/// Instance-indexed pane storage of one window operator
+/// ([`crate::multi`]): a deque of per-key panes fronted by the oldest
+/// unsealed instance, with strictly in-order sealing and a bounded spare
+/// pool. This is the bookkeeping layer only — accumulator semantics, cost
+/// accounting, and element-work emulation live in the store composing
+/// it.
 #[derive(Debug)]
 pub struct PaneDeque<P: PaneState> {
     window: Window,
@@ -100,12 +81,16 @@ pub struct PaneDeque<P: PaneState> {
     /// Maximum spare panes retained: `r/s + 1`, the most instances ever
     /// open at once.
     spare_cap: usize,
+    /// Prototype every new pane is cloned from when the spare pool is
+    /// empty.
+    blank: P,
 }
 
 impl<P: PaneState> PaneDeque<P> {
-    /// Creates an empty deque for `window`.
+    /// Creates an empty deque for `window` whose panes start as clones of
+    /// `blank`.
     #[must_use]
-    pub fn new(window: Window) -> Self {
+    pub fn new(window: Window, blank: P) -> Self {
         PaneDeque {
             window,
             panes: VecDeque::new(),
@@ -113,6 +98,7 @@ impl<P: PaneState> PaneDeque<P> {
             spare: Vec::new(),
             // s | r is enforced at window construction, so r/s is exact.
             spare_cap: (window.range() / window.slide()) as usize + 1,
+            blank,
         }
     }
 
@@ -152,10 +138,21 @@ impl<P: PaneState> PaneDeque<P> {
             self.front_m
         );
         let want = (m - self.front_m) as usize;
-        while self.panes.len() <= want {
-            self.panes.push_back(self.spare.pop().unwrap_or_default());
+        if want >= self.panes.len() {
+            self.open_through(want);
         }
         &mut self.panes[want]
+    }
+
+    /// Opens panes up to relative index `want`.
+    #[cold]
+    #[inline(never)]
+    fn open_through(&mut self, want: usize) {
+        while self.panes.len() <= want {
+            let blank = &self.blank;
+            self.panes
+                .push_back(self.spare.pop().unwrap_or_else(|| blank.clone()));
+        }
     }
 
     /// Positions the deque at its next due (`end ≤ watermark`), non-empty
@@ -305,294 +302,11 @@ impl<P: PaneState> PaneDeque<P> {
     }
 }
 
-/// The open instances of one window operator: the shared [`PaneDeque`]
-/// bookkeeping plus the aggregate's accumulator semantics, element-work
-/// emulation, and cost-model accounting.
-#[derive(Debug)]
-pub struct PaneStore<A: Aggregate> {
-    deque: PaneDeque<Pane<A::Acc>>,
-    /// Per-element emulated work (see [`DEFAULT_ELEMENT_WORK`]).
-    work: u32,
-    /// Sink for the emulated work so it is not optimized away.
-    work_sink: u64,
-    /// Raw-event updates performed (cost-model accounting).
-    updates: u64,
-    /// Sub-aggregate combines performed (cost-model accounting).
-    combines: u64,
-    /// Instances sealed (per-node profiling; maintained only when the
-    /// owning core profiles).
-    seals: u64,
-    /// Result rows emitted from sealed panes (per-node profiling).
-    emitted: u64,
-    /// High-water of live slab entries in any sealing pane (per-node
-    /// profiling).
-    pane_live_hw: u64,
-    /// Sampled nanoseconds attributed to this operator (per-node
-    /// profiling, stride-amortized clock).
-    nanos: u64,
-}
-
-impl<A: Aggregate> PaneStore<A> {
-    /// Creates an empty store for `window` with the default element work.
-    #[must_use]
-    pub fn new(window: Window) -> Self {
-        Self::with_element_work(window, DEFAULT_ELEMENT_WORK)
-    }
-
-    /// Creates an empty store with explicit per-element work.
-    #[must_use]
-    pub fn with_element_work(window: Window, work: u32) -> Self {
-        PaneStore {
-            deque: PaneDeque::new(window),
-            work,
-            work_sink: 0,
-            updates: 0,
-            combines: 0,
-            seals: 0,
-            emitted: 0,
-            pane_live_hw: 0,
-            nanos: 0,
-        }
-    }
-
-    /// Raw-event updates performed so far — the quantity the cost model
-    /// charges as `n·η·r` per period for raw-fed windows.
-    #[must_use]
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// Sub-aggregate combines performed so far — the quantity the cost
-    /// model charges as `n·M` per period for sub-aggregate-fed windows.
-    #[must_use]
-    pub fn combines(&self) -> u64 {
-        self.combines
-    }
-
-    /// The accumulated work sink (kept observable so the emulated work has
-    /// a data dependency the optimizer must respect).
-    #[must_use]
-    pub fn work_sink(&self) -> u64 {
-        self.work_sink
-    }
-
-    /// Notes one sealed instance whose pane held `live` entries
-    /// (per-node profiling: seal count and occupancy high-water).
-    #[inline]
-    pub fn note_seal(&mut self, live: u64) {
-        self.seals += 1;
-        self.pane_live_hw = self.pane_live_hw.max(live);
-    }
-
-    /// Notes `rows` result rows emitted from a sealed pane.
-    #[inline]
-    pub fn note_emitted(&mut self, rows: u64) {
-        self.emitted += rows;
-    }
-
-    /// Attributes sampled nanoseconds to this operator.
-    #[inline]
-    pub fn add_nanos(&mut self, ns: u64) {
-        self.nanos += ns;
-    }
-
-    /// Accumulates this store's counters into a
-    /// [`NodeProfile`](crate::profile::NodeProfile)
-    /// (identity fields are left for the caller to fill). The
-    /// single-aggregate core performs exactly one accumulator operation
-    /// per update/combine, so `agg_ops` grows by their sum.
-    pub fn profile_into(&self, p: &mut crate::profile::NodeProfile) {
-        p.updates += self.updates;
-        p.combines += self.combines;
-        p.agg_ops += self.updates + self.combines;
-        p.seals += self.seals;
-        p.emitted += self.emitted;
-        p.pane_live_hw = p.pane_live_hw.max(self.pane_live_hw);
-        p.nanos += self.nanos;
-    }
-
-    /// The window this store belongs to.
-    #[must_use]
-    pub fn window(&self) -> &Window {
-        self.deque.window()
-    }
-
-    /// The earliest unsealed instance's end — the store's next deadline.
-    #[inline]
-    #[must_use]
-    pub fn front_end(&self) -> u64 {
-        self.deque.front_end()
-    }
-
-    /// Number of open panes (diagnostics and memory-bound tests).
-    #[must_use]
-    pub fn open_panes(&self) -> usize {
-        self.deque.open_panes()
-    }
-
-    /// Folds a raw event into every instance containing `t`
-    /// (`r/s` instances — the unshared per-event cost of the cost model).
-    /// `slot` is the interned dense id of `key` (the raw key still seeds
-    /// the emulated per-element work, matching the pre-slab seeds).
-    #[inline]
-    pub fn update_point(&mut self, t: u64, key: u32, slot: u32, value: f64) {
-        let window = *self.deque.window();
-        if window.is_tumbling() {
-            // Fast path: exactly one containing instance.
-            let m = t / window.slide();
-            self.work_sink ^= element_work(t ^ u64::from(key), self.work);
-            self.updates += 1;
-            let pane = self.deque.pane_mut(m);
-            A::update(pane.slot_mut(slot, A::init), value);
-            return;
-        }
-        for m in window.instances_containing(t) {
-            self.work_sink ^= element_work(t ^ m, self.work);
-            self.updates += 1;
-            let pane = self.deque.pane_mut(m);
-            A::update(pane.slot_mut(slot, A::init), value);
-        }
-    }
-
-    /// Folds a *run* of events — column slices whose timestamps are
-    /// non-decreasing and all route to the same instance set (the caller
-    /// sliced the batch at slide boundaries) — into those instances.
-    ///
-    /// The instance arithmetic (`t / s`, pane lookup in the deque) is paid
-    /// once per run instead of once per event, and within the run
-    /// consecutive events with the same key share one slot resolve: the
-    /// accumulator is indexed once per key sub-run (`slots` carries the
-    /// interned id per element) and the values fold through the
-    /// aggregate's columnar kernel ([`Aggregate::fold_run`]).
-    /// Per-element accounting is unchanged — `updates` grows by one per
-    /// event per instance and the emulated element work runs per element,
-    /// exactly as the equivalent [`Self::update_point`] sequence would:
-    /// the work loop is separate from the value fold, which is safe
-    /// because the sink combines by XOR (order-free).
-    pub fn update_run(&mut self, times: &[u64], keys: &[u32], slots: &[u32], values: &[f64]) {
-        debug_assert!(!times.is_empty());
-        debug_assert!(times.len() == keys.len() && times.len() == values.len());
-        debug_assert!(times.len() == slots.len());
-        let window = *self.deque.window();
-        let tumbling = window.is_tumbling();
-        let instances = window.instances_containing(times[0]);
-        debug_assert_eq!(
-            window.instances_containing(times[times.len() - 1]),
-            instances,
-            "run crosses a slide boundary"
-        );
-        let work = self.work;
-        let mut work_sink = self.work_sink;
-        let mut folded = 0u64;
-        for m in instances {
-            // Emulated per-element work, seeded exactly as `update_point`
-            // seeds it (raw key, not slot).
-            if tumbling {
-                for (&t, &key) in times.iter().zip(keys) {
-                    work_sink ^= element_work(t ^ u64::from(key), work);
-                }
-            } else {
-                for &t in times {
-                    work_sink ^= element_work(t ^ m, work);
-                }
-            }
-            let pane = self.deque.pane_mut(m);
-            let mut k = 0;
-            while k < slots.len() {
-                let slot = slots[k];
-                let mut end = k + 1;
-                while end < slots.len() && slots[end] == slot {
-                    end += 1;
-                }
-                // One slot resolve for the whole key sub-run, then a
-                // contiguous fold over the value column.
-                A::fold_run(pane.slot_mut(slot, A::init), &values[k..end]);
-                k = end;
-            }
-            folded += times.len() as u64;
-        }
-        self.updates += folded;
-        self.work_sink = work_sink;
-    }
-
-    /// Folds a whole upstream pane (all keys of one sub-aggregate interval)
-    /// into every instance whose lifetime fully contains `iv` — the
-    /// instance range is computed once per pane, not once per key, and the
-    /// merge is a linear walk of the source slab's live slots (parent and
-    /// child share the core's interner, so slot ids line up and no probe
-    /// is needed on either side). `slot_keys` is the interner's slot→key
-    /// table, used only to seed the emulated per-element work with the
-    /// raw key as the hash-map implementation did.
-    #[inline]
-    pub fn combine_pane(&mut self, iv: &Interval, source: &Pane<A::Acc>, slot_keys: &[u32]) {
-        // Hoisted once per call (not per instance), matching
-        // `update_run`'s structure.
-        let work = self.work;
-        let mut sink = self.work_sink;
-        for m in self.deque.window().instances_containing_interval(iv) {
-            self.combines += source.len() as u64;
-            let pane = self.deque.pane_mut(m);
-            for (slot, sub) in source.iter() {
-                sink ^= element_work(m ^ u64::from(slot_keys[slot as usize]), work);
-                if let Some(acc) = pane.get_mut(slot) {
-                    A::combine(acc, sub);
-                } else {
-                    pane.insert(slot, sub.clone());
-                }
-            }
-        }
-        self.work_sink = sink;
-    }
-
-    /// Positions the store at its next due (`end ≤ watermark`), non-empty
-    /// instance and returns that instance's interval without sealing it
-    /// (see [`PaneDeque::prepare_due`]). Follow up with
-    /// [`Self::front_pane`] and [`Self::retire_front`].
-    pub fn prepare_due(&mut self, watermark: u64) -> Option<Interval> {
-        self.deque.prepare_due(watermark)
-    }
-
-    /// The pane positioned by [`Self::prepare_due`].
-    #[inline]
-    #[must_use]
-    pub fn front_pane(&self) -> &Pane<A::Acc> {
-        self.deque.front_pane()
-    }
-
-    /// Seals the pane positioned by [`Self::prepare_due`]: clears it into
-    /// the spare pool and advances the cursor.
-    #[inline]
-    pub fn retire_front(&mut self) {
-        self.deque.retire_front();
-    }
-
-    /// True when no open pane holds a live entry (see
-    /// [`PaneDeque::is_idle`]).
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.deque.is_idle()
-    }
-
-    /// Frees slab capacity sized to a retired slot space (see
-    /// [`PaneDeque::compact`]); callers must hold the idle condition.
-    pub fn compact(&mut self) {
-        self.deque.compact();
-    }
-
-    /// Convenience wrapper for tests: seals and returns a copy of the next
-    /// due instance.
-    pub fn pop_due(&mut self, watermark: u64) -> Option<(Interval, Pane<A::Acc>)> {
-        let interval = self.prepare_due(watermark)?;
-        let pane = self.front_pane().clone();
-        self.retire_front();
-        Some((interval, pane))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::{MinAgg, SumAgg};
+    use crate::multi::MultiStore;
+    use fw_core::AggregateFunction::{Min, Sum};
 
     fn w(r: u64, s: u64) -> Window {
         Window::new(r, s).unwrap()
@@ -604,22 +318,25 @@ mod tests {
 
     #[test]
     fn tumbling_update_and_seal() {
-        let mut store: PaneStore<SumAgg> = PaneStore::new(w(10, 10));
+        let mut store = MultiStore::single(w(10, 10), Sum);
         for t in 0..25 {
-            store.update_point(t, 0, 0, 1.0);
+            store.fold(&[t], &[0], &[1.0]);
         }
         // Watermark 20: instances [0,10) and [10,20) are due.
-        let (iv, pane) = store.pop_due(20).unwrap();
-        assert_eq!(iv, Interval::new(0, 10));
-        assert_eq!(pane.get(0), Some(&10.0));
-        let (iv, pane) = store.pop_due(20).unwrap();
-        assert_eq!(iv, Interval::new(10, 20));
-        assert_eq!(pane.get(0), Some(&10.0));
+        assert_eq!(
+            store.pop_due(20),
+            Some((Interval::new(0, 10), vec![(0, 10.0)]))
+        );
+        assert_eq!(
+            store.pop_due(20),
+            Some((Interval::new(10, 20), vec![(0, 10.0)]))
+        );
         assert!(store.pop_due(20).is_none());
         // Flush: the partial instance [20, 30) has 5 events.
-        let (iv, pane) = store.pop_due(u64::MAX).unwrap();
-        assert_eq!(iv, Interval::new(20, 30));
-        assert_eq!(pane.get(0), Some(&5.0));
+        assert_eq!(
+            store.pop_due(u64::MAX),
+            Some((Interval::new(20, 30), vec![(0, 5.0)]))
+        );
     }
 
     #[test]
@@ -628,16 +345,15 @@ mod tests {
         // for repeated keys inside a run (the shared slot-resolve path).
         for window in [w(10, 10), w(20, 5)] {
             let times = [41u64, 41, 42, 43, 43, 44];
-            let keys = [1u32, 1, 2, 2, 2, 1];
+            let slots = [1u32, 1, 2, 2, 2, 1];
             let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
-            let mut per_event: PaneStore<SumAgg> = PaneStore::new(window);
+            let mut per_event = MultiStore::single(window, Sum);
             for i in 0..times.len() {
-                per_event.update_point(times[i], keys[i], keys[i], values[i]);
+                per_event.fold(&times[i..=i], &slots[i..=i], &values[i..=i]);
             }
-            let mut run: PaneStore<SumAgg> = PaneStore::new(window);
-            run.update_run(&times, &keys, &keys, &values);
-            assert_eq!(run.updates(), per_event.updates());
-            assert_eq!(run.work_sink(), per_event.work_sink());
+            let mut run = MultiStore::single(window, Sum);
+            run.fold(&times, &slots, &values);
+            assert_eq!(run.counters(), per_event.counters());
             loop {
                 let a = per_event.pop_due(u64::MAX);
                 let b = run.pop_due(u64::MAX);
@@ -651,33 +367,33 @@ mod tests {
 
     #[test]
     fn hopping_events_hit_multiple_instances() {
-        let mut store: PaneStore<SumAgg> = PaneStore::new(w(10, 5));
-        store.update_point(7, 1, 1, 1.0); // instances [0,10) and [5,15)
-        let (iv, pane) = store.pop_due(10).unwrap();
-        assert_eq!(iv, Interval::new(0, 10));
-        assert_eq!(pane.get(1), Some(&1.0));
-        let (iv, pane) = store.pop_due(15).unwrap();
-        assert_eq!(iv, Interval::new(5, 15));
-        assert_eq!(pane.get(1), Some(&1.0));
+        let mut store = MultiStore::single(w(10, 5), Sum);
+        store.fold(&[7], &[1], &[1.0]); // instances [0,10) and [5,15)
+        assert_eq!(
+            store.pop_due(10),
+            Some((Interval::new(0, 10), vec![(1, 1.0)]))
+        );
+        assert_eq!(
+            store.pop_due(15),
+            Some((Interval::new(5, 15), vec![(1, 1.0)]))
+        );
     }
 
     #[test]
     fn combine_routes_to_containing_instances() {
         // Parent W(10,10) feeds W(20,10): sub-agg [10,20) belongs to
         // instances [0,20) and [10,30).
-        let mut store: PaneStore<MinAgg> = PaneStore::new(w(20, 10));
-        let mut sub: Pane<f64> = Pane::default();
-        sub.insert(0, 3.5);
-        store.combine_pane(&Interval::new(10, 20), &sub, IDENTITY);
-        let mut sub2: Pane<f64> = Pane::default();
-        sub2.insert(0, 7.0);
-        store.combine_pane(&Interval::new(0, 10), &sub2, IDENTITY);
-        let (iv, pane) = store.pop_due(20).unwrap();
-        assert_eq!(iv, Interval::new(0, 20));
-        assert_eq!(pane.get(0), Some(&3.5));
-        let (iv, pane) = store.pop_due(30).unwrap();
-        assert_eq!(iv, Interval::new(10, 30));
-        assert_eq!(pane.get(0), Some(&3.5));
+        let mut store = MultiStore::single(w(20, 10), Min);
+        store.combine(&Interval::new(10, 20), &[(0, 3.5)], IDENTITY);
+        store.combine(&Interval::new(0, 10), &[(0, 7.0)], IDENTITY);
+        assert_eq!(
+            store.pop_due(20),
+            Some((Interval::new(0, 20), vec![(0, 3.5)]))
+        );
+        assert_eq!(
+            store.pop_due(30),
+            Some((Interval::new(10, 30), vec![(0, 3.5)]))
+        );
     }
 
     #[test]
@@ -685,58 +401,52 @@ mod tests {
         // The emulated-work sink must accumulate across the instances of
         // one combine call exactly as per-instance calls would: the
         // hoisted sink is written back once, XOR-combining every term.
-        let mut hopping: PaneStore<MinAgg> = PaneStore::new(w(20, 10));
-        let mut sub: Pane<f64> = Pane::default();
-        sub.insert(0, 1.0);
-        sub.insert(2, 5.0);
-        hopping.combine_pane(&Interval::new(10, 20), &sub, IDENTITY);
+        let mut hopping = MultiStore::single(w(20, 10), Min);
+        hopping.combine(&Interval::new(10, 20), &[(0, 1.0), (2, 5.0)], IDENTITY);
         let expected = element_work(0, DEFAULT_ELEMENT_WORK)
             ^ element_work(2, DEFAULT_ELEMENT_WORK)
             ^ element_work(1, DEFAULT_ELEMENT_WORK)
             ^ element_work(1 ^ 2, DEFAULT_ELEMENT_WORK);
-        assert_eq!(hopping.work_sink(), expected);
-        assert_eq!(hopping.combines(), 4); // 2 entries x 2 instances
+        // 2 entries x 2 instances, no raw updates.
+        assert_eq!(hopping.counters(), (0, 4, expected));
     }
 
     #[test]
     fn empty_instances_are_skipped() {
-        let mut store: PaneStore<SumAgg> = PaneStore::new(w(10, 10));
-        store.update_point(35, 0, 0, 2.0); // only instance [30, 40) has data
-        let (iv, pane) = store.pop_due(100).unwrap();
-        assert_eq!(iv, Interval::new(30, 40));
-        assert_eq!(pane.get(0), Some(&2.0));
+        let mut store = MultiStore::single(w(10, 10), Sum);
+        store.fold(&[35], &[0], &[2.0]); // only instance [30, 40) has data
+        assert_eq!(
+            store.pop_due(100),
+            Some((Interval::new(30, 40), vec![(0, 2.0)]))
+        );
         assert!(store.pop_due(100).is_none());
     }
 
     #[test]
     fn fast_forward_without_data() {
-        let mut store: PaneStore<SumAgg> = PaneStore::new(w(10, 10));
+        let mut store = MultiStore::single(w(10, 10), Sum);
         assert!(store.pop_due(1_000_000).is_none());
         // The cursor jumped: a later event lands in the right instance.
-        store.update_point(1_000_005, 0, 0, 1.0);
+        store.fold(&[1_000_005], &[0], &[1.0]);
         let (iv, _) = store.pop_due(u64::MAX).unwrap();
         assert_eq!(iv, Interval::new(1_000_000, 1_000_010));
     }
 
     #[test]
     fn panes_are_recycled_not_reallocated() {
-        let mut store: PaneStore<SumAgg> = PaneStore::new(w(10, 10));
+        let mut store = MultiStore::single(w(10, 10), Sum);
         for round in 0u64..100 {
             for t in round * 10..(round + 1) * 10 {
-                let key = (t % 3) as u32;
-                store.update_point(t, key, key, 1.0);
+                store.fold(&[t], &[(t % 3) as u32], &[1.0]);
             }
             if round > 0 {
                 assert!(store.pop_due(round * 10).is_some());
             }
         }
-        // One open pane plus at most a couple of spares — not 100 slabs.
-        assert!(store.open_panes() <= 2, "{}", store.open_panes());
-        assert!(
-            store.deque.spare.len() <= 3,
-            "{} spares",
-            store.deque.spare.len()
-        );
+        // One open pane plus at most a couple of spares — not 100 panes.
+        let deque = store.deque();
+        assert!(deque.open_panes() <= 2, "{}", deque.open_panes());
+        assert!(deque.spare.len() <= 3, "{} spares", deque.spare.len());
     }
 
     #[test]
@@ -744,48 +454,34 @@ mod tests {
         // A large time gap opens (and then retires) a long run of panes;
         // the spare pool must keep at most the steady-state count, not
         // the whole burst.
-        let mut store: PaneStore<SumAgg> = PaneStore::new(w(10, 10));
-        store.update_point(0, 0, 0, 1.0);
-        store.update_point(100_000, 0, 0, 1.0); // gap-fills ~10k instances
+        let mut store = MultiStore::single(w(10, 10), Sum);
+        store.fold(&[0], &[0], &[1.0]);
+        store.fold(&[100_000], &[0], &[1.0]); // gap-fills ~10k instances
         let mut sealed = 0;
-        while store.prepare_due(u64::MAX).is_some() {
-            store.retire_front();
+        while store.pop_due(u64::MAX).is_some() {
             sealed += 1;
         }
         assert_eq!(sealed, 2); // only the two non-empty instances emit
-        assert!(
-            store.deque.spare.len() <= 2,
-            "{} spares retained",
-            store.deque.spare.len()
-        );
+        let spares = store.deque().spare.len();
+        assert!(spares <= 2, "{spares} spares retained");
 
         // Same bound for a hopping window (r/s + 1 = 11).
-        let mut store: PaneStore<SumAgg> = PaneStore::new(w(100, 10));
-        store.update_point(0, 0, 0, 1.0);
-        store.update_point(50_000, 0, 0, 1.0);
-        while store.prepare_due(u64::MAX).is_some() {
-            store.retire_front();
-        }
-        assert!(
-            store.deque.spare.len() <= 11,
-            "{} spares retained",
-            store.deque.spare.len()
-        );
+        let mut store = MultiStore::single(w(100, 10), Sum);
+        store.fold(&[0], &[0], &[1.0]);
+        store.fold(&[50_000], &[0], &[1.0]);
+        while store.pop_due(u64::MAX).is_some() {}
+        let spares = store.deque().spare.len();
+        assert!(spares <= 11, "{spares} spares retained");
     }
 
     #[test]
     fn open_pane_count_is_bounded() {
-        let mut store: PaneStore<SumAgg> = PaneStore::new(w(100, 10));
+        let mut store = MultiStore::single(w(100, 10), Sum);
         for t in 0..10_000u64 {
-            while store.prepare_due(t).is_some() {
-                store.retire_front();
-            }
-            store.update_point(t, 0, 0, 1.0);
+            while store.pop_due(t).is_some() {}
+            store.fold(&[t], &[0], &[1.0]);
         }
-        assert!(
-            store.open_panes() <= 11,
-            "{} panes open",
-            store.open_panes()
-        );
+        let open = store.deque().open_panes();
+        assert!(open <= 11, "{open} panes open");
     }
 }

@@ -5,7 +5,7 @@
 //! emission. The same property production engines exploit for operator
 //! parallelism (Trill's `Map`/`Reduce` groupings, Flink's keyed streams)
 //! applies here: hash-route events by key across N worker threads, run one
-//! monomorphized [`PlanPipeline`] per worker over its key subset, and the
+//! [`PlanPipeline`] per worker over its key subset, and the
 //! union of the shard outputs is exactly the single-threaded result —
 //! byte-identical after canonical ordering, because each key's accumulator
 //! folds the same values in the same order it would on one core.
@@ -366,31 +366,9 @@ impl ShardedPipeline {
     /// Compiles `plan` once per shard and spawns the worker threads.
     /// `shards` is clamped to at least 1.
     pub fn compile(plan: &QueryPlan, opts: PipelineOptions, shards: usize) -> Result<Self> {
-        Self::compile_impl(plan, opts, shards, false)
-    }
-
-    /// Like [`Self::compile`], but every shard worker runs the slot-based
-    /// group core ([`PlanPipeline::compile_grouped`]) so the pipeline
-    /// supports live plan swaps via [`Self::rebuild`].
-    pub fn compile_grouped(plan: &QueryPlan, opts: PipelineOptions, shards: usize) -> Result<Self> {
-        Self::compile_impl(plan, opts, shards, true)
-    }
-
-    fn compile_impl(
-        plan: &QueryPlan,
-        opts: PipelineOptions,
-        shards: usize,
-        grouped: bool,
-    ) -> Result<Self> {
-        let shards = shards.max(1);
-        let mut pipelines = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            pipelines.push(if grouped {
-                PlanPipeline::compile_grouped(plan, opts)?
-            } else {
-                PlanPipeline::compile(plan, opts)?
-            });
-        }
+        let pipelines = (0..shards.max(1))
+            .map(|_| PlanPipeline::compile(plan, opts))
+            .collect::<Result<Vec<_>>>()?;
         Ok(Self::from_pipelines(pipelines, opts))
     }
 
@@ -675,8 +653,7 @@ impl ShardedPipeline {
     /// shard-local — keys never move between shards, so each worker
     /// exports and re-adopts exactly its own key subset. The call is a
     /// barrier: it returns once every shard has swapped (or the first
-    /// shard error once one fails). Requires the pipeline to have been
-    /// compiled with [`Self::compile_grouped`].
+    /// shard error once one fails).
     pub fn rebuild(&mut self, plan: &QueryPlan, watermark: u64) -> Result<()> {
         self.check_error()?;
         self.flush_all();

@@ -1,4 +1,4 @@
-//! Dense key interning and epoch-stamped accumulator slabs.
+//! Dense key interning and epoch-stamped slot occupancy.
 //!
 //! The pane layer keys per-instance accumulators by a dense *slot id*
 //! instead of the raw `u32` grouping key: a plan-wide [`KeyInterner`]
@@ -10,13 +10,13 @@
 //! so everything outside a core (sealed results, FWC1 snapshots, state
 //! migration) stays key-addressed and parallelism-neutral.
 //!
-//! [`Slab`] is the per-instance store: a `Vec` indexed by slot with an
-//! epoch-stamp occupancy scheme (a sparse set). Clearing a pane is O(1)
-//! (bump the epoch), and iteration walks only the slots touched this
-//! epoch in first-touch order — a pane with 20 live keys costs 20 slots
-//! of work even when the interner has seen 256k keys. An occupancy
-//! *bitmap* would tie both costs to interner capacity instead; the
-//! epoch stamp is what keeps sparse instances cheap.
+//! `Occupancy` is the per-instance live-slot set behind every pane's
+//! slot-indexed accumulator columns: an epoch-stamp sparse set. Clearing
+//! a pane is O(1) (bump the epoch), and iteration walks only the slots
+//! touched this epoch in first-touch order — a pane with 20 live keys
+//! costs 20 slots of work even when the interner has seen 256k keys. An
+//! occupancy *bitmap* would tie both costs to interner capacity instead;
+//! the epoch stamp is what keeps sparse instances cheap.
 
 /// Sentinel for an empty interner table bucket. Safe because a packed
 /// entry is `key << 32 | slot` and slot counts stay below `u32::MAX`.
@@ -154,19 +154,19 @@ impl KeyInterner {
     }
 }
 
-/// A slot-indexed accumulator slab with O(1) clear: the per-instance
-/// pane representation.
+/// Epoch-stamped sparse-set occupancy over dense slots: which slots of a
+/// per-instance pane are live this epoch.
 ///
 /// Occupancy is an epoch stamp per slot plus a `touched` list of the
-/// slots occupied this epoch (a sparse set). [`Slab::clear`] bumps the
-/// epoch and truncates `touched`; values are lazily re-initialized the
-/// next time their slot is touched. Iteration yields live slots in
-/// first-touch order — callers that need canonical order sort by the
-/// raw key recovered through the interner's slot→key table.
+/// slots occupied this epoch. [`Occupancy::clear`] bumps the epoch and
+/// truncates `touched` in O(1); the pane's accumulator columns are
+/// re-initialized lazily, the first time [`Occupancy::occupy`] reports a
+/// slot fresh. Iteration yields live slots in first-touch order — callers
+/// that need canonical order sort by the raw key recovered through the
+/// interner's slot→key table.
 #[derive(Debug, Clone)]
-pub struct Slab<V> {
-    vals: Vec<V>,
-    /// `stamp[slot] == epoch` marks `vals[slot]` live this epoch.
+pub(crate) struct Occupancy {
+    /// `stamp[slot] == epoch` marks the slot live this epoch.
     stamp: Vec<u32>,
     /// Current epoch; starts at 1 so a zeroed stamp reads vacant.
     epoch: u32,
@@ -174,10 +174,9 @@ pub struct Slab<V> {
     touched: Vec<u32>,
 }
 
-impl<V> Default for Slab<V> {
+impl Default for Occupancy {
     fn default() -> Self {
-        Slab {
-            vals: Vec::new(),
+        Occupancy {
             stamp: Vec::new(),
             epoch: 1,
             touched: Vec::new(),
@@ -185,100 +184,55 @@ impl<V> Default for Slab<V> {
     }
 }
 
-impl<V> Slab<V> {
-    /// Creates an empty slab.
-    #[must_use]
-    pub fn new() -> Self {
-        Slab::default()
-    }
-
+impl Occupancy {
     /// Number of slots occupied this epoch.
     #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.touched.len()
     }
 
     /// True when no slot is occupied this epoch.
     #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.touched.is_empty()
     }
 
-    /// The value at `slot`, resolving occupancy — one bounds check and
-    /// one stamp compare, no hashing.
+    /// The occupied slots in first-touch order.
     #[inline]
-    #[must_use]
-    pub fn get(&self, slot: u32) -> Option<&V> {
-        let i = slot as usize;
-        if i < self.stamp.len() && self.stamp[i] == self.epoch {
-            Some(&self.vals[i])
-        } else {
-            None
+    pub(crate) fn touched(&self) -> &[u32] {
+        &self.touched
+    }
+
+    /// Number of slots the stamp table covers.
+    #[inline]
+    pub(crate) fn capacity(&self) -> usize {
+        self.stamp.len()
+    }
+
+    /// Extends the stamp table to cover `n` slots (new slots read vacant).
+    pub(crate) fn grow(&mut self, n: usize) {
+        if n > self.stamp.len() {
+            self.stamp.resize(n, 0);
         }
     }
 
-    /// Mutable access to an occupied slot.
+    /// Marks `slot` (which must be below [`Self::capacity`]) occupied;
+    /// returns `true` on its first touch this epoch, when the caller must
+    /// re-initialize the slot's accumulators. A repeated slot costs one
+    /// stamp compare.
     #[inline]
-    pub fn get_mut(&mut self, slot: u32) -> Option<&mut V> {
-        let i = slot as usize;
-        if i < self.stamp.len() && self.stamp[i] == self.epoch {
-            Some(&mut self.vals[i])
-        } else {
-            None
+    pub(crate) fn occupy(&mut self, slot: u32) -> bool {
+        let stamp = &mut self.stamp[slot as usize];
+        if *stamp == self.epoch {
+            return false;
         }
+        *stamp = self.epoch;
+        self.touched.push(slot);
+        true
     }
 
-    /// The value at `slot`, occupying it with `init()` on first touch
-    /// this epoch — the fold path's accumulator resolve: no hash probe,
-    /// and for a repeated slot just a stamp compare.
-    #[inline]
-    pub fn slot_mut(&mut self, slot: u32, mut init: impl FnMut() -> V) -> &mut V {
-        let i = slot as usize;
-        if i >= self.stamp.len() {
-            self.vals.resize_with(i + 1, &mut init);
-            self.stamp.resize(i + 1, 0);
-        }
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.touched.push(slot);
-            self.vals[i] = init();
-        }
-        &mut self.vals[i]
-    }
-
-    /// Writes `value` into `slot`, overwriting any live value.
-    #[inline]
-    pub fn insert(&mut self, slot: u32, value: V)
-    where
-        V: Clone,
-    {
-        let i = slot as usize;
-        if i >= self.stamp.len() {
-            // The clone fills the growth gap; the target slot itself
-            // receives `value` by move below.
-            self.vals.resize(i + 1, value.clone());
-            self.stamp.resize(i + 1, 0);
-        }
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.touched.push(slot);
-        }
-        self.vals[i] = value;
-    }
-
-    /// Iterates the occupied slots in first-touch order.
-    #[inline]
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &V)> + '_ {
-        self.touched
-            .iter()
-            .map(move |&s| (s, &self.vals[s as usize]))
-    }
-
-    /// Clears the slab in O(1) by bumping the epoch. Values stay in
-    /// place and are re-initialized lazily on next touch.
-    pub fn clear(&mut self) {
+    /// Empties the set in O(1) by bumping the epoch.
+    pub(crate) fn clear(&mut self) {
         self.touched.clear();
         if self.epoch == u32::MAX {
             // Epoch wrap: every stamp could collide with a future epoch,
@@ -288,14 +242,6 @@ impl<V> Slab<V> {
         } else {
             self.epoch += 1;
         }
-    }
-}
-
-/// Live-entry equality: two slabs are equal when they hold the same
-/// `(slot, value)` set, regardless of touch order, capacity, or epoch.
-impl<V: PartialEq> PartialEq for Slab<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().all(|(s, v)| other.get(s) == Some(v))
     }
 }
 
@@ -332,44 +278,45 @@ mod tests {
 
     #[test]
     fn slab_touch_iterate_clear() {
-        let mut slab: Slab<f64> = Slab::new();
-        *slab.slot_mut(5, || 0.0) += 1.0;
-        *slab.slot_mut(2, || 0.0) += 2.0;
-        *slab.slot_mut(5, || 0.0) += 1.0;
-        assert_eq!(slab.len(), 2);
-        assert_eq!(slab.get(5), Some(&2.0));
-        assert_eq!(slab.get(3), None);
-        let seen: Vec<(u32, f64)> = slab.iter().map(|(s, &v)| (s, v)).collect();
-        assert_eq!(seen, vec![(5, 2.0), (2, 2.0)]);
-        slab.clear();
-        assert!(slab.is_empty());
-        assert_eq!(slab.get(5), None);
-        // Reuse after clear re-initializes lazily.
-        *slab.slot_mut(5, || 10.0) += 1.0;
-        assert_eq!(slab.get(5), Some(&11.0));
+        let mut occ = Occupancy::default();
+        occ.grow(8);
+        assert!(occ.occupy(5));
+        assert!(occ.occupy(2));
+        assert!(!occ.occupy(5));
+        assert_eq!(occ.len(), 2);
+        assert_eq!(occ.touched(), &[5, 2]);
+        occ.clear();
+        assert!(occ.is_empty());
+        // Reuse after clear reports the slot fresh again.
+        assert!(occ.occupy(5));
+        assert_eq!(occ.touched(), &[5]);
     }
 
     #[test]
     fn slab_insert_overwrites_and_occupies() {
-        let mut slab: Slab<Vec<f64>> = Slab::new();
-        slab.insert(3, vec![1.0]);
-        slab.insert(3, vec![2.0, 3.0]);
-        assert_eq!(slab.len(), 1);
-        assert_eq!(slab.get(3), Some(&vec![2.0, 3.0]));
-        assert_eq!(slab.get_mut(1), None);
+        // Growing keeps live slots live and new slots vacant; re-occupying
+        // a live slot neither duplicates it nor reports it fresh.
+        let mut occ = Occupancy::default();
+        occ.grow(4);
+        assert!(occ.occupy(3));
+        occ.grow(16);
+        assert_eq!(occ.capacity(), 16);
+        assert!(!occ.occupy(3));
+        assert_eq!(occ.touched(), &[3]);
+        assert!(occ.occupy(9));
     }
 
     #[test]
     fn epoch_wrap_resets_stamps() {
-        let mut slab: Slab<u64> = Slab::new();
-        *slab.slot_mut(0, || 0) += 1;
-        slab.epoch = u32::MAX; // simulate ~4B clears
-        slab.stamp[0] = u32::MAX;
-        slab.touched = vec![0];
-        slab.clear();
-        assert_eq!(slab.epoch, 1);
-        assert!(slab.get(0).is_none());
-        *slab.slot_mut(0, || 7) += 1;
-        assert_eq!(slab.get(0), Some(&8));
+        let mut occ = Occupancy::default();
+        occ.grow(1);
+        assert!(occ.occupy(0));
+        occ.epoch = u32::MAX; // simulate ~4B clears
+        occ.stamp[0] = u32::MAX;
+        occ.clear();
+        assert_eq!(occ.epoch, 1);
+        assert_eq!(occ.stamp[0], 0);
+        assert!(occ.occupy(0));
+        assert!(!occ.occupy(0));
     }
 }

@@ -78,8 +78,7 @@ fn bits(results: Vec<WindowResult>) -> Vec<(Window, u64, u64, u32, u32, u64)> {
         .collect()
 }
 
-/// Either backend at a given shard count (`0` = single-threaded), always
-/// on the slot-based group core so the state is exportable.
+/// Either backend at a given shard count (`0` = single-threaded).
 enum Exec {
     Single(Box<PlanPipeline>),
     Sharded(ShardedPipeline),
@@ -88,11 +87,9 @@ enum Exec {
 impl Exec {
     fn compile(plan: &fw_core::QueryPlan, options: PipelineOptions, shards: usize) -> Exec {
         if shards == 0 {
-            Exec::Single(Box::new(
-                PlanPipeline::compile_grouped(plan, options).unwrap(),
-            ))
+            Exec::Single(Box::new(PlanPipeline::compile(plan, options).unwrap()))
         } else {
-            Exec::Sharded(ShardedPipeline::compile_grouped(plan, options, shards).unwrap())
+            Exec::Sharded(ShardedPipeline::compile(plan, options, shards).unwrap())
         }
     }
 

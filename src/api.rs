@@ -187,9 +187,6 @@ pub struct Session {
     parallelism: Parallelism,
     /// Re-optimization drift threshold; `Some` enables adaptive planning.
     adaptive: Option<f64>,
-    /// Compile onto the slot-based group core so the pipeline can be
-    /// checkpointed ([`Pipeline::checkpoint`]).
-    durable: bool,
     outcome: OnceCell<OptimizationOutcome>,
 }
 
@@ -213,7 +210,6 @@ impl Session {
             profile: ProfileLevel::Off,
             parallelism: Parallelism::Sequential,
             adaptive: None,
-            durable: false,
             outcome: OnceCell::new(),
         }
     }
@@ -295,26 +291,23 @@ impl Session {
     /// results are identical to a fixed-plan run, and
     /// [`fw_engine::ExecStats::replans`] counts the swaps.
     ///
-    /// Adaptive pipelines compile onto the slot-based group core (the
-    /// only core that supports live plan swaps), so single-aggregate
-    /// queries give up the monomorphized fast path. Rejected at build
-    /// time for all-holistic queries, whose three plans are identical at
-    /// every rate.
+    /// Rejected at build time for all-holistic queries, whose three plans
+    /// are identical at every rate.
     #[must_use]
     pub fn adaptive(mut self, threshold: f64) -> Self {
         self.adaptive = Some(threshold);
         self
     }
 
-    /// Makes built pipelines durable: they compile onto the slot-based
-    /// group core (the only core whose pane state is exportable) so
-    /// [`Pipeline::checkpoint`] works. Single-aggregate queries give up
-    /// the monomorphized fast path, exactly as with [`Session::adaptive`]
-    /// (which implies durability). [`Session::restore`] accepts snapshots
-    /// regardless of this flag.
+    /// Does nothing: every pipeline can [`Pipeline::checkpoint`], so
+    /// there is no longer anything to opt into. Kept so existing callers
+    /// compile; remove the call.
+    #[deprecated(
+        since = "0.2.0",
+        note = "every pipeline is checkpointable; remove the call"
+    )]
     #[must_use]
-    pub fn durable(mut self, durable: bool) -> Self {
-        self.durable = durable;
+    pub fn durable(self, _durable: bool) -> Self {
         self
     }
 
@@ -414,18 +407,13 @@ impl Session {
             profile: self.profile,
         };
         let adaptive = self.adaptive_state(semantics)?;
-        // Adaptive pipelines swap plans in place and durable pipelines
-        // export their pane state, both of which only the slot-based
-        // group core supports.
         // Distributed parallelism dispatches on the variant, not the
         // shard count: the same worker number means processes there,
         // threads here.
         if let Parallelism::Distributed { workers } = self.parallelism {
-            let grouped = adaptive.is_some() || self.durable;
             let backend = Backend::Dist(Box::new(DistPipeline::compile(
                 &bundle.plan,
                 options,
-                grouped,
                 workers,
             )?));
             return Ok(Pipeline {
@@ -441,23 +429,9 @@ impl Session {
                 seen_compactions: 0,
             });
         }
-        let backend = match (
-            self.parallelism.shard_count(),
-            adaptive.is_some() || self.durable,
-        ) {
-            (0, false) => Backend::Single(Box::new(PlanPipeline::compile(&bundle.plan, options)?)),
-            (0, true) => Backend::Single(Box::new(PlanPipeline::compile_grouped(
-                &bundle.plan,
-                options,
-            )?)),
-            (shards, false) => {
-                Backend::Sharded(ShardedPipeline::compile(&bundle.plan, options, shards)?)
-            }
-            (shards, true) => Backend::Sharded(ShardedPipeline::compile_grouped(
-                &bundle.plan,
-                options,
-                shards,
-            )?),
+        let backend = match self.parallelism.shard_count() {
+            0 => Backend::Single(Box::new(PlanPipeline::compile(&bundle.plan, options)?)),
+            shards => Backend::Sharded(ShardedPipeline::compile(&bundle.plan, options, shards)?),
         };
         Ok(Pipeline {
             backend,
@@ -507,8 +481,7 @@ impl Session {
     /// checkpoint taken at N shards restores into M worker threads (or
     /// the single-threaded backend) with byte-identical results.
     ///
-    /// Restored pipelines are always durable. Adaptive rate-estimator
-    /// state is deliberately not part of a snapshot — a restored adaptive
+    /// Adaptive rate-estimator state is deliberately not part of a snapshot — a restored adaptive
     /// session re-learns the observed rate from the replayed stream.
     pub fn restore<R: std::io::Read + ?Sized>(&self, r: &mut R) -> ApiResult<Pipeline> {
         let outcome = self.optimize()?;
@@ -533,7 +506,6 @@ impl Session {
             Backend::Dist(Box::new(DistPipeline::restore(
                 &bundle.plan,
                 options,
-                true,
                 workers,
                 &doc,
             )?))
@@ -813,10 +785,6 @@ impl Pipeline {
     /// at event number [`Pipeline::events_processed`] as observed at
     /// checkpoint time; recovery is then exactly-once — no window is
     /// emitted twice or skipped.
-    ///
-    /// Requires a durable pipeline ([`Session::durable`], implied by
-    /// [`Session::adaptive`] and by [`Session::restore`]); otherwise
-    /// fails with [`CheckpointError::Unsupported`].
     pub fn checkpoint<W: std::io::Write + ?Sized>(&mut self, w: &mut W) -> ApiResult<()> {
         match &mut self.backend {
             Backend::Single(p) => p.checkpoint(&self.bundle.plan, w)?,
@@ -1412,7 +1380,6 @@ mod tests {
         let session = Session::from_query(demo_query())
             .collect_results(true)
             .element_work(0)
-            .durable(true)
             .parallelism(Parallelism::Fixed(2));
         let reference = session.run_batch(&events).unwrap();
 
@@ -1449,12 +1416,31 @@ mod tests {
 
     #[test]
     fn checkpoint_requires_a_durable_session() {
-        let mut pipeline = Session::from_query(demo_query()).build().unwrap();
-        let err = pipeline.checkpoint(&mut Vec::new()).unwrap_err();
-        assert!(matches!(
-            err,
-            ApiError::Checkpoint(CheckpointError::Unsupported { .. })
-        ));
+        // Every session is durable: a default-built pipeline checkpoints
+        // without opting in, and the deprecated `durable(false)` cannot
+        // turn that off. Both snapshots restore and finish exactly-once.
+        let events = stream(300);
+        let session = Session::from_query(demo_query()).collect_results(true);
+        let reference = session.run_batch(&events).unwrap();
+        #[allow(deprecated)]
+        let opted_out = session.clone().durable(false);
+        for builder in [session, opted_out] {
+            let mut pipeline = builder.build().unwrap();
+            pipeline.push_batch(&events[..120]).unwrap();
+            let mut collected = pipeline.poll_results();
+            let mut snapshot = Vec::new();
+            pipeline.checkpoint(&mut snapshot).unwrap();
+            drop(pipeline);
+            let mut restored = builder.restore(&mut snapshot.as_slice()).unwrap();
+            restored.push_batch(&events[120..]).unwrap();
+            let out = restored.finish().unwrap();
+            collected.extend(out.results);
+            assert_eq!(out.events_processed, 300);
+            assert_eq!(
+                sorted_results(collected),
+                sorted_results(reference.results.clone())
+            );
+        }
     }
 
     #[test]

@@ -38,7 +38,6 @@ fn session(
         .parallelism(parallelism)
         .out_of_order(disorder)
         .collect_results(true)
-        .durable(true)
 }
 
 /// An almost-ordered stream: arrival order is event time plus jitter
